@@ -1,7 +1,7 @@
 // Ablation A7: micro-benchmarks (google-benchmark) of the geometric
 // primitives that dominate the search inner loops: SE-transform, DFT
-// reduction, PLD, LLD, closed-form alignment, and the three node-pruning
-// tests on realistic long-thin boxes.
+// reduction, PLD, LLD, closed-form alignment and its pre-check, and the
+// three node-pruning tests on realistic long-thin boxes.
 
 #include <benchmark/benchmark.h>
 
@@ -95,6 +95,20 @@ void BM_AlignScaleShiftClosedForm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AlignScaleShiftClosedForm)->Arg(32)->Arg(128)->Arg(512);
+
+/// The one-pass pre-check in front of Align (the same cost whether it keeps
+/// or rejects the window; here it rejects, as for most candidates).
+void BM_VerifyPrecheck(benchmark::State& state) {
+  Rng rng(5);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const tsss::core::QueryContext ctx(RandomVec(rng, n));
+  const Vec window = RandomVec(rng, n);
+  const double bound = 0.5 * ctx.Align(window).distance;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.MayBeWithin(window, bound));
+  }
+}
+BENCHMARK(BM_VerifyPrecheck)->Arg(32)->Arg(128)->Arg(512);
 
 template <tsss::geom::PruneStrategy kStrategy>
 void BM_ShouldVisit(benchmark::State& state) {

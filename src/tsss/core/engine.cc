@@ -382,7 +382,6 @@ Result<std::vector<Match>> SearchEngine::RangeQuery(std::span<const double> quer
   std::sort(expanded.begin(), expanded.end());
   std::vector<Match> matches;
   matches.reserve(expanded.size());
-  geom::Vec window(config_.window);
   std::size_t last_counted_page = storage::SequenceStore::kNoPageCounted;
   for (const index::RecordId record : expanded) {
     // The index phase polls per node load; the verify phase reads data
@@ -390,11 +389,11 @@ Result<std::vector<Match>> SearchEngine::RangeQuery(std::span<const double> quer
     // deadline set mid-scan would never fire (tsss_lint: deadline-poll).
     Status s = PollExecControl();
     if (!s.ok()) return s;
-    s = dataset_.store().ReadWindowDeduped(seq::SeriesOf(record),
-                                           seq::OffsetOf(record), window,
-                                           &last_counted_page);
-    if (!s.ok()) return s;
-    std::optional<Match> match = VerifyCandidate(ctx, window, record, eps, cost);
+    Result<std::span<const double>> window = dataset_.store().ViewWindow(
+        seq::SeriesOf(record), seq::OffsetOf(record), config_.window,
+        &last_counted_page);
+    if (!window.ok()) return window.status();
+    std::optional<Match> match = VerifyCandidate(ctx, *window, record, eps, cost);
     if (match.has_value()) matches.push_back(*match);
   }
   verify_span.Annotate("candidates", expanded.size());
@@ -474,17 +473,12 @@ Result<std::vector<Match>> SearchEngine::Knn(std::span<const double> query,
   // distance seen so far. Exact-distance ties are broken by record id so the
   // answer set is canonical — independent of iterator visit order and of how
   // the windows are partitioned across shards.
-  auto canonical = [](const Match& a, const Match& b) {
-    return a.distance < b.distance ||
-           (a.distance == b.distance && a.record < b.record);
-  };
-  std::priority_queue<Match, std::vector<Match>, decltype(canonical)> best(
-      canonical);
+  std::priority_queue<Match, std::vector<Match>, decltype(&CanonicalBefore)>
+      best(&CanonicalBefore);
 
   std::uint64_t candidates_seen = 0;
   obs::TraceSpan search_span("multi_step_search");
   index::RTree::LineNeighborIterator it = tree_->NearestLineNeighbors(line);
-  geom::Vec window(config_.window);
   std::vector<index::RecordId> expanded;
   while (true) {
     Result<std::optional<index::LineMatch>> next = it.Next();
@@ -508,18 +502,19 @@ Result<std::vector<Match>> SearchEngine::Knn(std::span<const double> query,
       // expansions stay responsive too (tsss_lint: deadline-poll).
       Status s = PollExecControl();
       if (!s.ok()) return s;
-      s = dataset_.store().ReadWindow(seq::SeriesOf(record),
-                                      seq::OffsetOf(record), window);
-      if (!s.ok()) return s;
-      const geom::Alignment alignment = ctx.Align(window);
+      Result<std::span<const double>> window = dataset_.store().ViewWindow(
+          seq::SeriesOf(record), seq::OffsetOf(record), config_.window);
+      if (!window.ok()) return window.status();
+      // A window the pre-check puts beyond the k-th best cannot enter the
+      // heap; one that may tie it still reaches Align for the record
+      // tie-break.
+      if (best.size() == k && !ctx.MayBeWithin(*window, best.top().distance)) {
+        continue;
+      }
+      const geom::Alignment alignment = ctx.Align(*window);
       if (!cost.Allows(alignment.transform)) continue;
-      Match match;
-      match.record = record;
-      match.series = seq::SeriesOf(record);
-      match.offset = seq::OffsetOf(record);
-      match.distance = alignment.distance;
-      match.transform = alignment.transform;
-      if (best.size() == k && !canonical(match, best.top())) continue;
+      const Match match = MakeMatch(record, alignment);
+      if (best.size() == k && !CanonicalBefore(match, best.top())) continue;
       best.push(match);
       if (best.size() > k) best.pop();
       if (shared_bound != nullptr && best.size() == k) {

@@ -98,17 +98,16 @@ Result<std::vector<Match>> SearchEngine::LongRangeQuery(
                                        candidate_records.end());
   std::sort(ordered.begin(), ordered.end());
   std::vector<Match> matches;
-  geom::Vec window(total);
   std::size_t last_counted_page = storage::SequenceStore::kNoPageCounted;
   for (index::RecordId record : ordered) {
     // Piece queries poll inside LineQuery; this verify loop reads data
     // pages directly and must poll on its own (tsss_lint: deadline-poll).
     Status s = PollExecControl();
     if (!s.ok()) return s;
-    s = dataset_.store().ReadWindowDeduped(
-        seq::SeriesOf(record), seq::OffsetOf(record), window, &last_counted_page);
-    if (!s.ok()) return s;
-    std::optional<Match> match = VerifyCandidate(ctx, window, record, eps, cost);
+    Result<std::span<const double>> window = dataset_.store().ViewWindow(
+        seq::SeriesOf(record), seq::OffsetOf(record), total, &last_counted_page);
+    if (!window.ok()) return window.status();
+    std::optional<Match> match = VerifyCandidate(ctx, *window, record, eps, cost);
     if (match.has_value()) matches.push_back(*match);
   }
   verify_span.Annotate("candidates", ordered.size());

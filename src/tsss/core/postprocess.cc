@@ -11,10 +11,7 @@ void SortByRecord(std::vector<Match>& matches) {
 }
 
 void SortByDistance(std::vector<Match>& matches) {
-  std::sort(matches.begin(), matches.end(), [](const Match& a, const Match& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.record < b.record;
-  });
+  std::sort(matches.begin(), matches.end(), CanonicalBefore);
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ Result<std::vector<Match>> SequentialScanner::RangeQuery(
       dataset_->store(), window_, stride_,
       [&](storage::SeriesId series, std::uint32_t offset,
           std::span<const double> values) {
-        std::optional<Match> match = VerifyCandidate(
+        std::optional<Match> match = VerifyCandidateExact(
             ctx, values, seq::MakeRecordId(series, offset), eps, cost);
         if (match.has_value()) out.push_back(*match);
       });
@@ -43,21 +43,19 @@ Result<std::vector<Match>> SequentialScanner::Knn(std::span<const double> query,
   const QueryContext ctx(query);
 
   dataset_->store().RecordFullScan();
-  auto cmp = [](const Match& a, const Match& b) { return a.distance < b.distance; };
-  std::priority_queue<Match, std::vector<Match>, decltype(cmp)> best(cmp);
+  // Same canonical (distance, record) order as SearchEngine::Knn, so equal
+  // distances straddling the k-th slot keep the lower record ids.
+  std::priority_queue<Match, std::vector<Match>, decltype(&CanonicalBefore)>
+      best(&CanonicalBefore);
   Status s = seq::ForEachWindow(
       dataset_->store(), window_, stride_,
       [&](storage::SeriesId series, std::uint32_t offset,
           std::span<const double> values) {
         const geom::Alignment alignment = ctx.Align(values);
         if (!cost.Allows(alignment.transform)) return;
-        if (best.size() == k && alignment.distance >= best.top().distance) return;
-        Match match;
-        match.record = seq::MakeRecordId(series, offset);
-        match.series = series;
-        match.offset = offset;
-        match.distance = alignment.distance;
-        match.transform = alignment.transform;
+        const Match match =
+            MakeMatch(seq::MakeRecordId(series, offset), alignment);
+        if (best.size() == k && !CanonicalBefore(match, best.top())) return;
         best.push(match);
         if (best.size() > k) best.pop();
       });

@@ -46,6 +46,18 @@ struct Match {
   geom::ScaleShift transform;
 };
 
+/// The canonical answer order: ascending distance, ties broken by record id.
+/// k-NN keeps the first k matches in this order, so its answer set does not
+/// depend on visit order or on how the windows are split across shards.
+inline bool CanonicalBefore(const Match& a, const Match& b) {
+  if (a.distance < b.distance) return true;
+  if (b.distance < a.distance) return false;
+  return a.record < b.record;
+}
+
+/// The match for `record` under `alignment` (no eps or cost check).
+Match MakeMatch(index::RecordId record, const geom::Alignment& alignment);
+
 /// Precomputed per-query state for evaluating the exact scale-shift distance
 /// against many windows in O(n) each with no allocation.
 ///
@@ -55,6 +67,11 @@ struct Match {
 ///   a  = <use, v> / ||use||^2
 ///   b  = mean(v) - a * mean(u)
 ///   d^2 = ||T_se(v)||^2 - a^2 * ||use||^2
+///
+/// MayBeWithin() is a one-pass filter in front of Align(): it evaluates the
+/// last identity from three sums and rejects only windows that are provably
+/// farther than the bound once rounding error is allowed for (DESIGN.md §7,
+/// "Candidate verification pre-check"). Windows it keeps go through Align().
 class QueryContext {
  public:
   /// Requires a non-empty query.
@@ -75,20 +92,46 @@ class QueryContext {
     return Align(window).distance;
   }
 
+  /// Conservative filter: false only when Align(window).distance is certain
+  /// to exceed `bound`. True for every window Align() puts within `bound`,
+  /// ties included, and for any window whose sums are not finite.
+  bool MayBeWithin(std::span<const double> window, double bound) const;
+
  private:
+  void InitPrecheck();
+
   geom::Vec query_;
   geom::Vec use_;  ///< T_se(query)
   double uu_;      ///< ||use||^2
   double q_mean_;
+
+  // Pre-check constants (see InitPrecheck).
+  bool precheck_ = true;      ///< false: MayBeWithin always passes
+  double inv_n_ = 0.0;        ///< 1 / n
+  double se_mean_ = 0.0;      ///< mean(use): use is zero-sum only up to rounding
+  double inv_se_perp_ = 0.0;  ///< 1 / ||use - se_mean_||^2 (0 for a flat query)
+  double bound_coef_ = 0.0;   ///< limit = bound_coef_ * bound^2
+  double s2_coef_ = 0.0;      ///<       + s2_coef_ * S2
+  double level_coef_ = 0.0;   ///<       + level_coef_ * v0^2 + kAbsSlack
 };
 
 /// Verifies one candidate window against the query: exact distance, error
 /// bound, and cost constraints (the paper's post-processing step).
-/// Returns nullopt when the candidate is a false alarm.
+/// Returns nullopt when the candidate is a false alarm. Runs
+/// QueryContext::MayBeWithin first, then VerifyCandidateExact; the answer is
+/// the same as VerifyCandidateExact's on every window.
 std::optional<Match> VerifyCandidate(const QueryContext& ctx,
                                      std::span<const double> window,
                                      index::RecordId record, double eps,
                                      const TransformCost& cost);
+
+/// VerifyCandidate without the pre-check: Align() on every window. The
+/// sequential-scan oracle uses this, so it shares no filtering code with the
+/// index path it checks.
+std::optional<Match> VerifyCandidateExact(const QueryContext& ctx,
+                                          std::span<const double> window,
+                                          index::RecordId record, double eps,
+                                          const TransformCost& cost);
 
 }  // namespace tsss::core
 

@@ -60,57 +60,51 @@ Result<std::span<const double>> SequenceStore::SeriesValues(SeriesId id) const {
   return std::span<const double>(values_.data() + offsets_[id], lengths_[id]);
 }
 
-Status SequenceStore::ReadWindowDeduped(SeriesId id, std::size_t offset,
-                                        std::span<double> out,
-                                        std::size_t* last_counted_page) const {
+Result<std::span<const double>> SequenceStore::ViewWindow(
+    SeriesId id, std::size_t offset, std::size_t n,
+    std::size_t* last_counted_page) const {
   if (id >= offsets_.size()) {
     return Status::NotFound("series " + std::to_string(id) + " does not exist");
   }
-  if (offset + out.size() > lengths_[id]) {
-    return Status::OutOfRange("window exceeds series length");
+  if (offset + n > lengths_[id]) {
+    return Status::OutOfRange("window [" + std::to_string(offset) + ", " +
+                              std::to_string(offset + n) +
+                              ") exceeds series length " +
+                              std::to_string(lengths_[id]));
   }
-  if (out.empty()) return Status::OK();
   const std::size_t global = offsets_[id] + offset;
-  const std::size_t first_page = global / kValuesPerPage;
-  const std::size_t last_page = (global + out.size() - 1) / kValuesPerPage;
-  std::size_t first_new = first_page;
-  if (*last_counted_page != kNoPageCounted && *last_counted_page >= first_page) {
-    first_new = *last_counted_page + 1;
+  if (n > 0) {
+    const std::size_t first_page = global / kValuesPerPage;
+    const std::size_t last_page = (global + n - 1) / kValuesPerPage;
+    std::size_t first_new = first_page;
+    if (last_counted_page != nullptr && *last_counted_page != kNoPageCounted &&
+        *last_counted_page >= first_page) {
+      first_new = *last_counted_page + 1;
+    }
+    if (first_new <= last_page) {
+      const std::size_t fresh = last_page - first_new + 1;
+      metrics_.logical_reads += fresh;
+      metrics_.physical_reads += fresh;
+      CountQueryDataReads(fresh);
+      if (last_counted_page != nullptr) *last_counted_page = last_page;
+    }
   }
-  if (first_new <= last_page) {
-    const std::size_t fresh = last_page - first_new + 1;
-    metrics_.logical_reads += fresh;
-    metrics_.physical_reads += fresh;
-    CountQueryDataReads(fresh);
-    *last_counted_page = last_page;
-  }
-  std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(global), out.size(),
-              out.begin());
+  return std::span<const double>(values_.data() + global, n);
+}
+
+Status SequenceStore::ReadWindowDeduped(SeriesId id, std::size_t offset,
+                                        std::span<double> out,
+                                        std::size_t* last_counted_page) const {
+  Result<std::span<const double>> view =
+      ViewWindow(id, offset, out.size(), last_counted_page);
+  if (!view.ok()) return view.status();
+  std::copy(view->begin(), view->end(), out.begin());
   return Status::OK();
 }
 
 Status SequenceStore::ReadWindow(SeriesId id, std::size_t offset,
                                  std::span<double> out) const {
-  if (id >= offsets_.size()) {
-    return Status::NotFound("series " + std::to_string(id) + " does not exist");
-  }
-  if (offset + out.size() > lengths_[id]) {
-    return Status::OutOfRange("window [" + std::to_string(offset) + ", " +
-                              std::to_string(offset + out.size()) +
-                              ") exceeds series length " +
-                              std::to_string(lengths_[id]));
-  }
-  const std::size_t global = offsets_[id] + offset;
-  if (!out.empty()) {
-    const std::size_t first_page = global / kValuesPerPage;
-    const std::size_t last_page = (global + out.size() - 1) / kValuesPerPage;
-    metrics_.logical_reads += last_page - first_page + 1;
-    metrics_.physical_reads += last_page - first_page + 1;
-    CountQueryDataReads(last_page - first_page + 1);
-    std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(global), out.size(),
-                out.begin());
-  }
-  return Status::OK();
+  return ReadWindowDeduped(id, offset, out, nullptr);
 }
 
 std::size_t SequenceStore::TotalPages() const {

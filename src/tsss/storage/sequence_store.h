@@ -21,11 +21,12 @@ using SeriesId = std::uint32_t;
 /// Values of all series are packed densely, 512 doubles per 4 KiB page, in
 /// insertion order - the same model the paper uses to size the sequential
 /// scan at (0.65M values x 8 bytes) / 4 KiB ~= 1300 pages. Reads issued
-/// through ReadWindow() count the pages they touch; a sequential scan is
-/// accounted with RecordFullScan() (every occupied page read exactly once).
+/// through ViewWindow() (and ReadWindow(), its copying form) count the pages
+/// they touch; a sequential scan is accounted with RecordFullScan() (every
+/// occupied page read exactly once).
 ///
-/// Thread-safety: the read path (ReadWindow/ReadWindowDeduped/SeriesLength/
-/// SeriesValues/RecordFullScan) is const and safe to call from any number of
+/// Thread-safety: the read path (ViewWindow/ReadWindow/ReadWindowDeduped/
+/// SeriesLength/SeriesValues/RecordFullScan) is const and safe to call from any number of
 /// threads concurrently - access counters are atomic, values are only read.
 /// AddSeries/AppendToSeries mutate the value heap; they serialize against
 /// each other on an internal writer mutex, but NOT against readers, so the
@@ -64,16 +65,26 @@ class SequenceStore {
   /// (pre-processing is not part of the per-query cost model).
   Result<std::span<const double>> SeriesValues(SeriesId id) const;
 
-  /// Copies values [offset, offset + out.size()) of the series into `out`,
-  /// counting every touched page as one logical read.
+  /// Sentinel for a batch that has counted no page yet (see ViewWindow).
+  static constexpr std::size_t kNoPageCounted = static_cast<std::size_t>(-1);
+
+  /// Read-only view of values [offset, offset + n) of the series, with no
+  /// copy. Counts the touched pages as logical reads: every page when
+  /// `last_counted_page` is null; otherwise each page at most once across a
+  /// sequence of calls with ascending (series, offset), pages <=
+  /// *last_counted_page not being re-counted. Initialise *last_counted_page
+  /// to kNoPageCounted before the first call of such a batch; it models a
+  /// query that verifies its candidates in storage order, touching every
+  /// needed data page exactly once. The view is valid only until the next
+  /// AddSeries or AppendToSeries (the single-writer contract).
+  Result<std::span<const double>> ViewWindow(
+      SeriesId id, std::size_t offset, std::size_t n,
+      std::size_t* last_counted_page = nullptr) const;
+
+  /// ViewWindow copied into `out` (n = out.size()), counting every page.
   Status ReadWindow(SeriesId id, std::size_t offset, std::span<double> out) const;
 
-  /// Like ReadWindow, but counts each page at most once across a sequence of
-  /// calls with ascending (series, offset): pages <= *last_counted_page are
-  /// not re-counted. Initialise *last_counted_page to kNoPageCounted before
-  /// the first call of a batch. Models a query that verifies its candidates
-  /// in storage order, touching every needed data page exactly once.
-  static constexpr std::size_t kNoPageCounted = static_cast<std::size_t>(-1);
+  /// ViewWindow copied into `out`, counting pages once per batch.
   Status ReadWindowDeduped(SeriesId id, std::size_t offset, std::span<double> out,
                            std::size_t* last_counted_page) const;
 

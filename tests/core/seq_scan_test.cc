@@ -1,5 +1,7 @@
 #include "tsss/core/seq_scan.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "tsss/common/rng.h"
@@ -104,6 +106,73 @@ TEST(SeqScanTest, KnnReturnsClosestFirst) {
   ASSERT_EQ(top->size(), 10u);
   for (std::size_t i = 1; i < top->size(); ++i) {
     EXPECT_LE((*top)[i - 1].distance, (*top)[i].distance);
+  }
+}
+
+/// Every window of `ds` aligned and sorted in the canonical
+/// (distance, record) order: the reference answer for any k.
+std::vector<Match> AllWindowsCanonical(const seq::Dataset& ds, const Vec& query) {
+  const QueryContext ctx(query);
+  std::vector<Match> all;
+  for (storage::SeriesId id = 0; id < ds.store().num_series(); ++id) {
+    auto values = ds.store().SeriesValues(id);
+    EXPECT_TRUE(values.ok());
+    for (std::size_t off = 0; off + query.size() <= values->size(); ++off) {
+      all.push_back(MakeMatch(seq::MakeRecordId(id, static_cast<std::uint32_t>(off)),
+                              ctx.Align(values->subspan(off, query.size()))));
+    }
+  }
+  std::sort(all.begin(), all.end(), CanonicalBefore);
+  return all;
+}
+
+TEST(SeqScanTest, KnnTieBreaksDuplicatedSeriesByRecord) {
+  // Windows A and B (duplicated series) tie; C comes later and is closer.
+  // With k = 2 the answer is {C, A}: the tie keeps the lower record id even
+  // though C's arrival evicts one of the tied pair.
+  const Vec query = {1.0, 3.0, 2.0, 5.0, 4.0, 6.0, 8.0, 7.0};
+  const Vec far = {5.0, 1.0, 4.0, 2.0, 8.0, 3.0, 7.0, 6.0};
+  Vec near = query;
+  near[3] += 0.5;
+  seq::Dataset ds;
+  ds.Add("a", far);
+  ds.Add("b", far);
+  ds.Add("c", near);
+  SequentialScanner scanner(&ds, 8);
+  auto top = scanner.Knn(query, 2);
+  ASSERT_TRUE(top.ok());
+  ASSERT_EQ(top->size(), 2u);
+  EXPECT_EQ((*top)[0].record, seq::MakeRecordId(2, 0));
+  EXPECT_EQ((*top)[1].record, seq::MakeRecordId(0, 0));
+  EXPECT_EQ((*top)[1].distance, QueryContext(query).Distance(far));
+}
+
+TEST(SeqScanTest, KnnTieBreaksFlatWindowsByRecord) {
+  // Flat windows all sit at one tiny distance; a later exact image of the
+  // ramp query lands at distance 0 and pushes one of them out of the top k.
+  // The lowest flat records must survive, for every k across the tie.
+  Vec query(8);
+  for (std::size_t i = 0; i < 8; ++i) query[i] = static_cast<double>(i);
+  Vec image(8);
+  for (std::size_t i = 0; i < 8; ++i) image[i] = 2.0 * query[i] + 1.0;
+  seq::Dataset ds;
+  ds.Add("flat", Vec(12, 0.1));  // five identical flat windows
+  ds.Add("flat2", Vec(9, 0.1));  // two more
+  ds.Add("ramp", image);
+  SequentialScanner scanner(&ds, 8);
+  const std::vector<Match> all = AllWindowsCanonical(ds, query);
+  ASSERT_EQ(all.size(), 8u);
+  ASSERT_EQ(all[0].record, seq::MakeRecordId(2, 0));
+  ASSERT_LT(all[0].distance, all[1].distance) << "flat windows must rank second";
+  for (std::size_t k = 2; k <= 7; ++k) {
+    ASSERT_EQ(all[k - 1].distance, all[k].distance);  // the tie straddles slot k
+    auto top = scanner.Knn(query, k);
+    ASSERT_TRUE(top.ok());
+    ASSERT_EQ(top->size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ((*top)[i].record, all[i].record) << "k=" << k << " i=" << i;
+      EXPECT_EQ((*top)[i].distance, all[i].distance);
+    }
   }
 }
 

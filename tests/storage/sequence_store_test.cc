@@ -1,5 +1,6 @@
 #include "tsss/storage/sequence_store.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -160,6 +161,60 @@ TEST(SequenceStoreTest, DedupedBatchTotalEqualsDistinctPages) {
     ASSERT_TRUE(store.ReadWindowDeduped(id, off, out, &last_page).ok());
   }
   EXPECT_EQ(store.metrics().logical_reads, store.TotalPages());
+}
+
+TEST(SequenceStoreTest, ViewWindowPointsIntoTheHeapAndCounts) {
+  SequenceStore store;
+  store.AddSeries(Iota(300));
+  const SeriesId id = store.AddSeries(Iota(1024, 5000.0));
+  auto series = store.SeriesValues(id);
+  ASSERT_TRUE(series.ok());
+  auto view = store.ViewWindow(id, 480, 64);  // heap 780..843: page 1 only
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->data(), series->data() + 480);
+  EXPECT_EQ(view->size(), 64u);
+  EXPECT_DOUBLE_EQ((*view)[0], 5480.0);
+  EXPECT_EQ(store.metrics().logical_reads, 1u);
+  // A window crossing a page boundary counts both, as ReadWindow does.
+  ASSERT_TRUE(store.ViewWindow(id, 200, 64).ok());  // heap 500..563: pages 0|1
+  EXPECT_EQ(store.metrics().logical_reads, 3u);
+}
+
+TEST(SequenceStoreTest, ViewWindowCountsExactlyLikeTheCopyingReads) {
+  // Same sweep through the view and through both copying forms: equal page
+  // counts, in plain and in deduplicated mode.
+  SequenceStore viewed;
+  SequenceStore copied;
+  const SeriesId a = viewed.AddSeries(Iota(3000));
+  ASSERT_EQ(copied.AddSeries(Iota(3000)), a);
+  std::vector<double> out(100);
+  std::size_t view_last = SequenceStore::kNoPageCounted;
+  std::size_t copy_last = SequenceStore::kNoPageCounted;
+  for (std::size_t off = 0; off + 100 <= 3000; off += 37) {
+    auto view = viewed.ViewWindow(a, off, 100, &view_last);
+    ASSERT_TRUE(view.ok());
+    ASSERT_TRUE(copied.ReadWindowDeduped(a, off, out, &copy_last).ok());
+    EXPECT_TRUE(std::equal(view->begin(), view->end(), out.begin()));
+    EXPECT_EQ(view_last, copy_last);
+  }
+  EXPECT_EQ(viewed.metrics().logical_reads, copied.metrics().logical_reads);
+  for (std::size_t off = 0; off + 100 <= 3000; off += 211) {
+    ASSERT_TRUE(viewed.ViewWindow(a, off, 100).ok());
+    ASSERT_TRUE(copied.ReadWindow(a, off, out).ok());
+  }
+  EXPECT_EQ(viewed.metrics().logical_reads, copied.metrics().logical_reads);
+  EXPECT_EQ(viewed.metrics().physical_reads, copied.metrics().physical_reads);
+}
+
+TEST(SequenceStoreTest, ViewWindowValidates) {
+  SequenceStore store;
+  const SeriesId id = store.AddSeries(Iota(100));
+  EXPECT_EQ(store.ViewWindow(id, 90, 64).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(store.ViewWindow(7, 0, 8).status().code(), StatusCode::kNotFound);
+  auto empty = store.ViewWindow(id, 100, 0);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  EXPECT_EQ(store.metrics().logical_reads, 0u);
 }
 
 }  // namespace

@@ -27,8 +27,8 @@ bool IsPunct(const Token& t, const char* text) {
 /// *queries*; seeding on the query-side read entry points keeps the
 /// check focused and waiver-free on the write path.
 bool IsIoSeed(const std::string& name) {
-  return name == "LoadNode" || name == "ReadWindow" ||
-         name == "ReadWindowDeduped";
+  return name == "LoadNode" || name == "ViewWindow" ||
+         name == "ReadWindow" || name == "ReadWindowDeduped";
 }
 
 /// Direct evidence of polling inside a token range.

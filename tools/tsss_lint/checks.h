@@ -73,8 +73,8 @@ std::vector<Finding> CheckPinPairing(const std::vector<SourceFile>& files);
 std::vector<Finding> CheckAtomicOrder(const std::vector<SourceFile>& files);
 
 /// Check 7 — deadline-poll coverage. In src/tsss/{index,core,shard}: a
-/// loop whose body does page I/O (calls LoadNode / ReadWindow /
-/// ReadWindowDeduped, directly or transitively) must poll ExecControl —
+/// loop whose body does page I/O (calls LoadNode / ViewWindow /
+/// ReadWindow / ReadWindowDeduped, directly or transitively) must poll ExecControl —
 /// directly (CurrentExecControl in the loop) or via a callee in the
 /// transitive polling set (seeded by bodies that use CurrentExecControl).
 /// Waiver: `// poll-ok: <why>` on the loop's line or the line above.
