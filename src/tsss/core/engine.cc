@@ -3,6 +3,7 @@
 #include <filesystem>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <optional>
 #include <queue>
@@ -21,11 +22,24 @@ namespace tsss::core {
 
 namespace {
 
+/// What each SearchEngine::QueryScope::Kind is called, in enum order.
+struct KindNames {
+  const char* span;     ///< root trace span
+  const char* explain;  ///< ExplainReport::kind
+  const char* counter;  ///< registry query counter
+  const char* help;
+};
+constexpr std::array<KindNames, 3> kKindNames = {{
+    {"range_query", "range", "tsss_range_queries_total",
+     "Range queries executed"},
+    {"knn_query", "knn", "tsss_knn_queries_total", "k-NN queries executed"},
+    {"long_range_query", "long_range", "tsss_long_queries_total",
+     "Long (multi-piece) range queries executed"},
+}};
+
 /// Process-wide query counters in the metrics registry. Resolved once.
 struct QueryRegistryCounters {
-  obs::Counter* range_queries;
-  obs::Counter* knn_queries;
-  obs::Counter* long_queries;
+  std::array<obs::Counter*, kKindNames.size()> queries;  ///< by kind
   obs::Counter* candidates;
   obs::Counter* matches;
 };
@@ -33,28 +47,25 @@ struct QueryRegistryCounters {
 const QueryRegistryCounters& QueryCountersRegistry() {
   static const QueryRegistryCounters counters = [] {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    return QueryRegistryCounters{
-        reg.GetCounter("tsss_range_queries_total", "Range queries executed"),
-        reg.GetCounter("tsss_knn_queries_total", "k-NN queries executed"),
-        reg.GetCounter("tsss_long_queries_total",
-                       "Long (multi-piece) range queries executed"),
-        reg.GetCounter("tsss_query_candidates_total",
-                       "Windows that reached exact verification"),
-        reg.GetCounter("tsss_query_matches_total", "Verified query answers"),
-    };
+    QueryRegistryCounters out{};
+    for (std::size_t i = 0; i < kKindNames.size(); ++i) {
+      out.queries[i] =
+          reg.GetCounter(kKindNames[i].counter, kKindNames[i].help);
+    }
+    out.candidates = reg.GetCounter("tsss_query_candidates_total",
+                                    "Windows that reached exact verification");
+    out.matches =
+        reg.GetCounter("tsss_query_matches_total", "Verified query answers");
+    return out;
   }();
   return counters;
 }
 
-/// Microseconds elapsed since `start` on the monotonic clock.
-std::uint64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - start);
-  return static_cast<std::uint64_t>(us.count());
-}
-
-}  // namespace
-
+/// Derives the paper's pruning disposition from a walk's PenetrationStats:
+/// every tested entry that was not visited was pruned; bounding-sphere outer
+/// rejects are the BS share, and the remainder is attributed to the
+/// entering/exiting-point slab test (or to the exact distance test when that
+/// strategy ran). Strategies never mix within one walk.
 void FillPruneTelemetry(const geom::PenetrationStats& pen,
                         obs::QueryTelemetry* telemetry) {
   telemetry->entries_tested = pen.tests;
@@ -72,22 +83,72 @@ void FillPruneTelemetry(const geom::PenetrationStats& pen,
   }
 }
 
-obs::QueryCost BuildQueryCost(std::uint64_t cpu_start_us,
-                              const storage::QueryCounters& counters,
-                              std::uint64_t candidates_verified) {
+}  // namespace
+
+obs::QueryCost DeriveQueryCost(const QueryStats& stats) {
   obs::QueryCost cost;
-  const std::uint64_t cpu_now = obs::ThreadCpuNowUs();
-  cost.cpu_us = cpu_now >= cpu_start_us ? cpu_now - cpu_start_us : 0;
-  cost.pages_miss = counters.pool_misses;
-  cost.pages_hit = counters.pool_logical_reads >= counters.pool_misses
-                       ? counters.pool_logical_reads - counters.pool_misses
+  cost.cpu_us = stats.cpu_us;
+  cost.pages_miss = stats.index_page_misses;
+  cost.pages_hit = stats.index_page_reads >= stats.index_page_misses
+                       ? stats.index_page_reads - stats.index_page_misses
                        : 0;
-  cost.data_pages = counters.data_page_reads;
-  cost.bytes_touched =
-      (counters.pool_logical_reads + counters.data_page_reads) *
-      storage::kPageSize;
-  cost.candidates_verified = candidates_verified;
+  cost.data_pages = stats.data_page_reads;
+  cost.bytes_touched = stats.total_page_reads() * storage::kPageSize;
+  cost.candidates_verified = stats.candidates;
   return cost;
+}
+
+SearchEngine::QueryScope::QueryScope(const SearchEngine& engine, Kind kind,
+                                     QueryStats* stats)
+    : engine_(engine),
+      kind_(kind),
+      stats_(stats),
+      span_(kKindNames[static_cast<std::size_t>(kind)].span) {
+  // Telemetry is collected only when someone will read it (the caller asked
+  // for stats or a trace is installed); otherwise the index layer's tick
+  // helpers reduce to a thread-local read plus an untaken branch.
+  if (stats != nullptr || obs::CurrentQueryTrace() != nullptr) {
+    scoped_telemetry_.emplace(&telemetry_);
+    start_ = std::chrono::steady_clock::now();
+    cpu_start_us_ = obs::ThreadCpuNowUs();
+  }
+}
+
+void SearchEngine::QueryScope::Finish(double eps, std::uint64_t k,
+                                      std::uint64_t candidates,
+                                      std::uint64_t matches,
+                                      const geom::PenetrationStats& pen) {
+  const QueryRegistryCounters& reg = QueryCountersRegistry();
+  const auto kind = static_cast<std::size_t>(kind_);
+  reg.queries[kind]->Inc();
+  reg.candidates->Inc(candidates);
+  reg.matches->Inc(matches);
+  if (!scoped_telemetry_.has_value()) return;
+
+  LastQuery last;
+  last.kind = kKindNames[kind].explain;
+  last.eps = eps;
+  last.k = k;
+  last.prune = engine_.config_.prune;
+  last.elapsed_us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start_)
+          .count());
+  QueryStats& out = last.stats;
+  out.index_page_reads = counters_.pool_logical_reads;
+  out.index_page_misses = counters_.pool_misses;
+  out.data_page_reads = counters_.data_page_reads;
+  out.candidates = candidates;
+  out.matches = matches;
+  const std::uint64_t cpu_now = obs::ThreadCpuNowUs();
+  out.cpu_us = cpu_now >= cpu_start_us_ ? cpu_now - cpu_start_us_ : 0;
+  out.penetration = pen;
+  out.telemetry = telemetry_;
+  FillPruneTelemetry(pen, &out.telemetry);
+  out.telemetry.candidates_postfiltered = candidates - matches;
+  obs::AnnotateSpan(&span_, out.telemetry);
+  engine_.RecordLastQuery(last);
+  if (stats_ != nullptr) *stats_ = out;
 }
 
 SearchEngine::SearchEngine(const EngineConfig& config) : config_(config) {}
@@ -341,22 +402,7 @@ Result<std::vector<Match>> SearchEngine::RangeQuery(std::span<const double> quer
   if (eps < 0.0) return Status::InvalidArgument("eps must be non-negative");
 
   if (Status begin = BeginQuery(); !begin.ok()) return begin;
-  storage::QueryCounters counters;
-  storage::ScopedQueryCounters scoped_counters(&counters);
-
-  // Telemetry is collected only when someone will read it (the caller asked
-  // for stats or a trace is installed); otherwise the index layer's tick
-  // helpers reduce to a thread-local read plus an untaken branch.
-  obs::QueryTelemetry telemetry;
-  std::optional<obs::ScopedQueryTelemetry> scoped_telemetry;
-  std::chrono::steady_clock::time_point query_start;
-  std::uint64_t cpu_start_us = 0;
-  if (stats != nullptr || obs::CurrentQueryTrace() != nullptr) {
-    scoped_telemetry.emplace(&telemetry);
-    query_start = std::chrono::steady_clock::now();
-    cpu_start_us = obs::ThreadCpuNowUs();
-  }
-  obs::TraceSpan query_span("range_query");
+  QueryScope scope(*this, QueryScope::Kind::kRange, stats);
 
   const QueryContext ctx(query);
   const geom::Line line = ReducedQueryLine(query);
@@ -400,42 +446,7 @@ Result<std::vector<Match>> SearchEngine::RangeQuery(std::span<const double> quer
   verify_span.Annotate("matches", matches.size());
   verify_span.Close();
 
-  obs::QueryCost query_cost;
-  if (scoped_telemetry.has_value()) {
-    FillPruneTelemetry(pen, &telemetry);
-    telemetry.candidates_postfiltered = expanded.size() - matches.size();
-    obs::AnnotateSpan(&query_span, telemetry);
-    query_cost = BuildQueryCost(cpu_start_us, counters, expanded.size());
-    LastQuery last;
-    last.kind = "range";
-    last.eps = eps;
-    last.prune = config_.prune;
-    last.elapsed_us = ElapsedUs(query_start);
-    last.stats.index_page_reads = counters.pool_logical_reads;
-    last.stats.index_page_misses = counters.pool_misses;
-    last.stats.data_page_reads = counters.data_page_reads;
-    last.stats.candidates = expanded.size();
-    last.stats.matches = matches.size();
-    last.stats.penetration = pen;
-    last.stats.telemetry = telemetry;
-    last.stats.cost = query_cost;
-    RecordLastQuery(last);
-  }
-  const QueryRegistryCounters& reg = QueryCountersRegistry();
-  reg.range_queries->Inc();
-  reg.candidates->Inc(expanded.size());
-  reg.matches->Inc(matches.size());
-
-  if (stats != nullptr) {
-    stats->index_page_reads = counters.pool_logical_reads;
-    stats->index_page_misses = counters.pool_misses;
-    stats->data_page_reads = counters.data_page_reads;
-    stats->candidates = expanded.size();
-    stats->matches = matches.size();
-    stats->penetration = pen;
-    stats->telemetry = telemetry;
-    stats->cost = query_cost;
-  }
+  scope.Finish(eps, 0, expanded.size(), matches.size(), pen);
   return matches;
 }
 
@@ -450,19 +461,7 @@ Result<std::vector<Match>> SearchEngine::Knn(std::span<const double> query,
   if (k == 0) return std::vector<Match>{};
 
   if (Status begin = BeginQuery(); !begin.ok()) return begin;
-  storage::QueryCounters counters;
-  storage::ScopedQueryCounters scoped_counters(&counters);
-
-  obs::QueryTelemetry telemetry;
-  std::optional<obs::ScopedQueryTelemetry> scoped_telemetry;
-  std::chrono::steady_clock::time_point query_start;
-  std::uint64_t cpu_start_us = 0;
-  if (stats != nullptr || obs::CurrentQueryTrace() != nullptr) {
-    scoped_telemetry.emplace(&telemetry);
-    query_start = std::chrono::steady_clock::now();
-    cpu_start_us = obs::ThreadCpuNowUs();
-  }
-  obs::TraceSpan query_span("knn_query");
+  QueryScope scope(*this, QueryScope::Kind::kKnn, stats);
 
   const QueryContext ctx(query);
   const geom::Line line = ReducedQueryLine(query);
@@ -534,39 +533,7 @@ Result<std::vector<Match>> SearchEngine::Knn(std::span<const double> query,
   }
   std::reverse(out.begin(), out.end());
 
-  obs::QueryCost query_cost;
-  if (scoped_telemetry.has_value()) {
-    telemetry.candidates_postfiltered = candidates_seen - out.size();
-    obs::AnnotateSpan(&query_span, telemetry);
-    query_cost = BuildQueryCost(cpu_start_us, counters, candidates_seen);
-    LastQuery last;
-    last.kind = "knn";
-    last.k = k;
-    last.prune = config_.prune;
-    last.elapsed_us = ElapsedUs(query_start);
-    last.stats.index_page_reads = counters.pool_logical_reads;
-    last.stats.index_page_misses = counters.pool_misses;
-    last.stats.data_page_reads = counters.data_page_reads;
-    last.stats.candidates = candidates_seen;
-    last.stats.matches = out.size();
-    last.stats.telemetry = telemetry;
-    last.stats.cost = query_cost;
-    RecordLastQuery(last);
-  }
-  const QueryRegistryCounters& reg = QueryCountersRegistry();
-  reg.knn_queries->Inc();
-  reg.candidates->Inc(candidates_seen);
-  reg.matches->Inc(out.size());
-
-  if (stats != nullptr) {
-    stats->index_page_reads = counters.pool_logical_reads;
-    stats->index_page_misses = counters.pool_misses;
-    stats->data_page_reads = counters.data_page_reads;
-    stats->candidates = candidates_seen;
-    stats->matches = out.size();
-    stats->telemetry = telemetry;
-    stats->cost = query_cost;
-  }
+  scope.Finish(0.0, k, candidates_seen, out.size(), geom::PenetrationStats{});
   return out;
 }
 

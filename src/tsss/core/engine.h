@@ -2,6 +2,7 @@
 #define TSSS_CORE_ENGINE_H_
 
 #include <atomic>
+#include <chrono>
 #include <iosfwd>
 #include <limits>
 #include <memory>
@@ -16,6 +17,7 @@
 #include "tsss/geom/penetration.h"
 #include "tsss/obs/explain.h"
 #include "tsss/obs/query_telemetry.h"
+#include "tsss/obs/trace.h"
 #include "tsss/index/rtree.h"
 #include "tsss/reduce/reducer.h"
 #include "tsss/seq/dataset.h"
@@ -75,28 +77,36 @@ struct EngineMeta {
 Result<EngineMeta> ParseEngineMeta(std::istream& in);
 
 /// Per-query observability: what a query cost. All counters are deltas over
-/// the single query.
+/// the single query. This is the one per-query record: every other surface
+/// (the obs::QueryCost metrics and flight records, explain reports, the shard
+/// roll-ups) is derived from it.
 struct QueryStats {
   std::uint64_t index_page_reads = 0;   ///< R-tree node pages fetched (logical)
   std::uint64_t index_page_misses = 0;  ///< of those, buffer-pool misses
   std::uint64_t data_page_reads = 0;    ///< raw-data pages read for verification
-  std::uint64_t candidates = 0;        ///< leaf hits needing verification
+  /// Windows that reached exact verification: after sub-trail expansion and,
+  /// for long queries, after de-duplication across pieces and the series
+  /// bounds check.
+  std::uint64_t candidates = 0;
   std::uint64_t matches = 0;           ///< verified answers
+  /// CPU time the query burned on its own thread (CLOCK_THREAD_CPUTIME_ID).
+  std::uint64_t cpu_us = 0;
   geom::PenetrationStats penetration;  ///< pruning-test breakdown
   /// Index-walk breakdown: nodes visited per tree level, MBR distance
   /// evaluations, and the EP/BS/exact prune disposition derived from
-  /// `penetration` (see FillPruneTelemetry).
+  /// `penetration`.
   obs::QueryTelemetry telemetry;
-  /// What the query spent (thread CPU, hit/miss page split, bytes,
-  /// verifications). Filled on the telemetry-enabled path only, like
-  /// `telemetry`; service::QueryService aggregates it per kind and
-  /// shard::ShardedEngine per shard (see obs/cost.h).
-  obs::QueryCost cost;
 
   std::uint64_t total_page_reads() const {
     return index_page_reads + data_page_reads;
   }
 };
+
+/// The obs-layer view of what a query spent, derived from its QueryStats:
+/// the hit/miss split of the index page reads, data pages, bytes touched at
+/// page granularity, and windows verified. Linear in the stats, so the cost
+/// of summed per-shard stats is the sum of the per-shard costs.
+obs::QueryCost DeriveQueryCost(const QueryStats& stats);
 
 /// A monotonically tightening upper bound on the k-th best exact distance,
 /// shared by concurrent k-NN sub-queries over disjoint partitions of one
@@ -132,23 +142,6 @@ class KnnSharedBound {
  private:
   std::atomic<double> bound_{std::numeric_limits<double>::infinity()};
 };
-
-/// Derives the paper's pruning disposition from a walk's PenetrationStats:
-/// every tested entry that was not visited was pruned; bounding-sphere outer
-/// rejects are the BS share, and the remainder is attributed to the
-/// entering/exiting-point slab test (or to the exact distance test when that
-/// strategy ran). Strategies never mix within one walk. Defined in engine.cc.
-void FillPruneTelemetry(const geom::PenetrationStats& pen,
-                        obs::QueryTelemetry* telemetry);
-
-/// Rolls one finished query's thread-local storage counters into a QueryCost:
-/// CPU time since `cpu_start_us` (a ThreadCpuNowUs() reading taken when the
-/// query started), the hit/miss split of the pool reads, and bytes touched at
-/// page granularity. Called on the telemetry-enabled path only, alongside
-/// FillPruneTelemetry. Defined in engine.cc.
-obs::QueryCost BuildQueryCost(std::uint64_t cpu_start_us,
-                              const storage::QueryCounters& counters,
-                              std::uint64_t candidates_verified);
 
 /// The paper's system: a dynamic index over all length-n windows of a set of
 /// time series supporting range and k-NN queries under scale-shift
@@ -299,10 +292,50 @@ class SearchEngine {
     QueryStats stats;
   };
 
-  /// Saves the snapshot for ExplainLast(). Called from the const query
-  /// methods only when telemetry was collected, so the mutex is off the
+  /// Saves the snapshot for ExplainLast(). Called from QueryScope::Finish
+  /// only when telemetry was collected, so the mutex is off the
   /// instrumentation-disabled path entirely.
   void RecordLastQuery(const LastQuery& last) const TSSS_EXCLUDES(last_query_mu_);
+
+  /// The bookkeeping around one RangeQuery, Knn or LongRangeQuery, written
+  /// once. Construction installs the thread-local page counters and opens
+  /// the root span; when someone will read the result (a QueryStats sink or
+  /// an installed trace) it also installs the pruning telemetry and reads
+  /// the wall and thread-CPU clocks. With neither, it reads no clock, takes
+  /// no mutex and installs no telemetry. Finish() is the success path only:
+  /// it ticks the registry counters and, when instrumented, builds the
+  /// query's one QueryStats and hands that value to `*stats` and to the
+  /// ExplainLast() snapshot. An error return just drops the scope, so it
+  /// ticks no counter and writes no stats.
+  class QueryScope {
+   public:
+    enum class Kind { kRange, kKnn, kLongRange };
+
+    QueryScope(const SearchEngine& engine, Kind kind, QueryStats* stats);
+    QueryScope(const QueryScope&) = delete;
+    QueryScope& operator=(const QueryScope&) = delete;
+
+    /// The root span ("range_query", "knn_query" or "long_range_query").
+    obs::TraceSpan& span() { return span_; }
+
+    /// `candidates` counts windows verified; `eps` is unused for k-NN and
+    /// `k` for the range kinds. k-NN's best-first walk collects no
+    /// PenetrationStats and passes an empty one.
+    void Finish(double eps, std::uint64_t k, std::uint64_t candidates,
+                std::uint64_t matches, const geom::PenetrationStats& pen);
+
+   private:
+    const SearchEngine& engine_;
+    const Kind kind_;
+    QueryStats* const stats_;
+    storage::QueryCounters counters_;
+    storage::ScopedQueryCounters scoped_counters_{&counters_};
+    obs::QueryTelemetry telemetry_;
+    std::optional<obs::ScopedQueryTelemetry> scoped_telemetry_;
+    std::chrono::steady_clock::time_point start_;
+    std::uint64_t cpu_start_us_ = 0;
+    obs::TraceSpan span_;
+  };
 
   Status IndexWindows(storage::SeriesId id, std::size_t first_offset);
   Status IndexWindowsTrail(storage::SeriesId id, std::size_t first_offset);

@@ -78,7 +78,7 @@ Result<obs::ExplainReport> SearchEngine::ExplainFromStats(
   r.data_page_reads = stats.data_page_reads;
 
   r.seq_scan_pages = dataset_.store().TotalPages();
-  r.cost = stats.cost;
+  r.cost = DeriveQueryCost(stats);
   return r;
 }
 

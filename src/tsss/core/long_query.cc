@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -7,10 +6,8 @@
 
 #include "tsss/common/exec_control.h"
 #include "tsss/core/engine.h"
-#include "tsss/obs/metrics.h"
 #include "tsss/obs/trace.h"
 #include "tsss/seq/window.h"
-#include "tsss/storage/query_counters.h"
 
 namespace tsss::core {
 
@@ -45,24 +42,11 @@ Result<std::vector<Match>> SearchEngine::LongRangeQuery(
   const double piece_eps = eps / std::sqrt(static_cast<double>(pieces));
 
   if (Status begin = BeginQuery(); !begin.ok()) return begin;
-  storage::QueryCounters counters;
-  storage::ScopedQueryCounters scoped_counters(&counters);
-
-  obs::QueryTelemetry telemetry;
-  std::optional<obs::ScopedQueryTelemetry> scoped_telemetry;
-  std::chrono::steady_clock::time_point query_start;
-  std::uint64_t cpu_start_us = 0;
-  if (stats != nullptr || obs::CurrentQueryTrace() != nullptr) {
-    scoped_telemetry.emplace(&telemetry);
-    query_start = std::chrono::steady_clock::now();
-    cpu_start_us = obs::ThreadCpuNowUs();
-  }
-  obs::TraceSpan query_span("long_range_query");
-  query_span.Annotate("pieces", pieces);
+  QueryScope scope(*this, QueryScope::Kind::kLongRange, stats);
+  scope.span().Annotate("pieces", pieces);
 
   geom::PenetrationStats pen;
   std::unordered_set<index::RecordId> candidate_records;
-  std::uint64_t raw_candidates = 0;
   for (std::size_t i = 0; i < pieces; ++i) {
     obs::TraceSpan piece_span("piece_search");
     piece_span.Annotate("piece", i);
@@ -71,7 +55,6 @@ Result<std::vector<Match>> SearchEngine::LongRangeQuery(
     Result<std::vector<index::LineMatch>> hits =
         tree_->LineQuery(line, piece_eps, config_.prune, &pen);
     if (!hits.ok()) return hits.status();
-    raw_candidates += hits->size();
     std::vector<index::RecordId> expanded;
     for (const index::LineMatch& hit : *hits) {
       expanded.clear();
@@ -114,46 +97,7 @@ Result<std::vector<Match>> SearchEngine::LongRangeQuery(
   verify_span.Annotate("matches", matches.size());
   verify_span.Close();
 
-  obs::QueryCost query_cost;
-  if (scoped_telemetry.has_value()) {
-    FillPruneTelemetry(pen, &telemetry);
-    telemetry.candidates_postfiltered = ordered.size() - matches.size();
-    obs::AnnotateSpan(&query_span, telemetry);
-    query_cost = BuildQueryCost(cpu_start_us, counters, ordered.size());
-    LastQuery last;
-    last.kind = "long_range";
-    last.eps = eps;
-    last.prune = config_.prune;
-    last.elapsed_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - query_start)
-            .count());
-    last.stats.index_page_reads = counters.pool_logical_reads;
-    last.stats.index_page_misses = counters.pool_misses;
-    last.stats.data_page_reads = counters.data_page_reads;
-    last.stats.candidates = raw_candidates;
-    last.stats.matches = matches.size();
-    last.stats.penetration = pen;
-    last.stats.telemetry = telemetry;
-    last.stats.cost = query_cost;
-    RecordLastQuery(last);
-  }
-  static obs::Counter* const long_queries =
-      obs::MetricsRegistry::Global().GetCounter(
-          "tsss_long_queries_total",
-          "Long (multi-piece) range queries executed");
-  long_queries->Inc();
-
-  if (stats != nullptr) {
-    stats->index_page_reads = counters.pool_logical_reads;
-    stats->index_page_misses = counters.pool_misses;
-    stats->data_page_reads = counters.data_page_reads;
-    stats->candidates = raw_candidates;
-    stats->matches = matches.size();
-    stats->penetration = pen;
-    stats->telemetry = telemetry;
-    stats->cost = query_cost;
-  }
+  scope.Finish(eps, 0, ordered.size(), matches.size(), pen);
   return matches;
 }
 

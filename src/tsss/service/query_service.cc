@@ -316,12 +316,13 @@ void QueryService::FinishTask(Task* task, QueryResponse response,
        {"matches", response.matches.size()}});
 
   const char* kind_name = KindName(task->request.kind);
+  const obs::QueryCost cost = core::DeriveQueryCost(response.stats);
   if (response.status.ok()) {
-    // Cost attribution: the engine filled stats.cost for every query that
-    // ran to completion; fold it into the per-kind labelled metrics. Error
+    // Cost attribution: the engine filled stats for every query that ran to
+    // completion; fold its cost into the per-kind labelled metrics. Error
     // paths unwind before the engine fills stats, so recording them would
     // only pollute the histograms with zeros.
-    obs::RecordQueryCost("kind", kind_name, response.stats.cost);
+    obs::RecordQueryCost("kind", kind_name, cost);
   }
 
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
@@ -332,7 +333,7 @@ void QueryService::FinishTask(Task* task, QueryResponse response,
     record.kind = kind_name;
     record.outcome = outcome;
     record.latency_us = latency_us;
-    record.cost = response.stats.cost;
+    record.cost = cost;
     // Derive the explain report from this task's own stats — never from the
     // engine-wide last-query slot, which a concurrent worker may have
     // already overwritten.

@@ -22,6 +22,7 @@ void AccumulateStats(const core::QueryStats& in, core::QueryStats* out) {
   out->data_page_reads += in.data_page_reads;
   out->candidates += in.candidates;
   out->matches += in.matches;
+  out->cpu_us += in.cpu_us;
 
   out->penetration.tests += in.penetration.tests;
   out->penetration.visits += in.penetration.visits;
@@ -44,28 +45,36 @@ void AccumulateStats(const core::QueryStats& in, core::QueryStats* out) {
   t.exact_prunes += s.exact_prunes;
   t.entries_tested += s.entries_tested;
   t.candidates_postfiltered += s.candidates_postfiltered;
-
-  out->cost += in.cost;
 }
 
-/// Per-shard cost rollup: every fan-out leg's spend lands in the
-/// shard-labelled cost metrics, whether or not the caller asked for stats
-/// and whether or not the overall query succeeds — the pages were read and
-/// the CPU was burned either way.
-void RecordShardCosts(const std::vector<service::QueryResponse>& responses) {
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    obs::RecordQueryCost("shard", std::to_string(i), responses[i].stats.cost);
+/// One fan-out request; ScatterGather copies it to every shard.
+service::QueryRequest MakeRequest(service::QueryKind kind,
+                                  std::span<const double> query,
+                                  const core::TransformCost& cost) {
+  service::QueryRequest request;
+  request.kind = kind;
+  request.query.assign(query.begin(), query.end());
+  request.cost = cost;
+  return request;
+}
+
+/// The range and long-range merge. Windows are partitioned (a series lives
+/// wholly in one shard, so every candidate piece of a long query is verified
+/// in the shard that owns the series), so the per-shard answers are
+/// disjoint; their union re-sorted by record is exactly the single-engine
+/// answer.
+Result<std::vector<core::Match>> MergeByRecord(
+    Result<std::vector<std::vector<core::Match>>> lists) {
+  if (!lists.ok()) return lists.status();
+  std::vector<core::Match> merged;
+  for (const std::vector<core::Match>& list : *lists) {
+    merged.insert(merged.end(), list.begin(), list.end());
   }
-}
-
-/// The canonical result order shared with SearchEngine: range answers by
-/// record, k-NN answers by (distance, record).
-bool RecordLess(const core::Match& a, const core::Match& b) {
-  return a.record < b.record;
-}
-bool CanonicalLess(const core::Match& a, const core::Match& b) {
-  return a.distance < b.distance ||
-         (a.distance == b.distance && a.record < b.record);
+  std::sort(merged.begin(), merged.end(),
+            [](const core::Match& a, const core::Match& b) {
+              return a.record < b.record;
+            });
+  return merged;
 }
 
 }  // namespace
@@ -162,7 +171,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Assemble(
   service_config.num_workers = sharded->config_.fanout_workers != 0
                                    ? sharded->config_.fanout_workers
                                    : sharded->shards_.size();
-  // Room for several logical queries' worth of sub-requests; FanOut()
+  // Room for several logical queries' worth of sub-requests; ScatterGather()
   // retries admission anyway, this just keeps the retry path cold.
   service_config.queue_capacity =
       std::max<std::size_t>(256, 8 * sharded->shards_.size());
@@ -237,8 +246,12 @@ Status ShardedEngine::Checkpoint() {
                       map_);
 }
 
-Result<std::vector<service::QueryResponse>> ShardedEngine::FanOut(
-    const std::vector<service::QueryRequest>& requests) const {
+Result<std::vector<std::vector<core::Match>>> ShardedEngine::ScatterGather(
+    const service::QueryRequest& request, core::QueryStats* stats) const {
+  std::vector<service::QueryRequest> requests(shards_.size(), request);
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    requests[i].target = shards_[i].get();
+  }
   Result<std::vector<std::future<service::QueryResponse>>> futures =
       Status::Internal("unsubmitted");
   for (;;) {
@@ -254,138 +267,95 @@ Result<std::vector<service::QueryResponse>> ShardedEngine::FanOut(
     // it continuously, so yield and retry rather than failing the query.
     std::this_thread::yield();
   }
-  std::vector<service::QueryResponse> responses;
-  responses.reserve(futures->size());
-  for (std::future<service::QueryResponse>& f : *futures) {
-    responses.push_back(f.get());
-  }
-  return responses;
-}
 
-void ShardedEngine::RemapToGlobal(std::uint32_t from_shard,
-                                  std::vector<core::Match>* matches) const {
-  const std::vector<storage::SeriesId>& locals = local_to_global_[from_shard];
-  for (core::Match& m : *matches) {
-    TSSS_DCHECK(m.series < locals.size());
-    const storage::SeriesId global = locals[m.series];
-    m.series = global;
-    m.record = seq::MakeRecordId(global, m.offset);
+  // Every leg is awaited (a k-NN request points at the caller's shared
+  // bound) and its spend lands in the shard-labelled cost metrics, whether
+  // or not the overall query succeeds: the pages were read and the CPU was
+  // burned either way.
+  Status first_error;
+  core::QueryStats total;
+  std::vector<std::vector<core::Match>> lists;
+  lists.reserve(futures->size());
+  for (std::size_t i = 0; i < futures->size(); ++i) {
+    service::QueryResponse response = (*futures)[i].get();
+    obs::RecordQueryCost("shard", std::to_string(i),
+                         core::DeriveQueryCost(response.stats));
+    if (!response.status.ok()) {
+      if (first_error.ok()) first_error = response.status;
+      continue;
+    }
+    const std::vector<storage::SeriesId>& locals = local_to_global_[i];
+    for (core::Match& m : response.matches) {
+      TSSS_DCHECK(m.series < locals.size());
+      m.series = locals[m.series];
+      m.record = seq::MakeRecordId(m.series, m.offset);
+    }
+    AccumulateStats(response.stats, &total);
+    lists.push_back(std::move(response.matches));
   }
+  if (!first_error.ok()) return first_error;
+  if (stats != nullptr) *stats = total;
+  return lists;
 }
 
 Result<std::vector<core::Match>> ShardedEngine::RangeQuery(
     std::span<const double> query, double eps, const core::TransformCost& cost,
     core::QueryStats* stats) const {
-  std::vector<service::QueryRequest> requests(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    requests[i].kind = service::QueryKind::kRange;
-    requests[i].query.assign(query.begin(), query.end());
-    requests[i].eps = eps;
-    requests[i].cost = cost;
-    requests[i].target = shards_[i].get();
-  }
-  Result<std::vector<service::QueryResponse>> responses = FanOut(requests);
-  if (!responses.ok()) return responses.status();
-  RecordShardCosts(*responses);
+  service::QueryRequest request =
+      MakeRequest(service::QueryKind::kRange, query, cost);
+  request.eps = eps;
+  return MergeByRecord(ScatterGather(request, stats));
+}
 
-  std::vector<core::Match> merged;
-  for (std::size_t i = 0; i < responses->size(); ++i) {
-    service::QueryResponse& response = (*responses)[i];
-    if (!response.status.ok()) return response.status;
-    RemapToGlobal(static_cast<std::uint32_t>(i), &response.matches);
-    merged.insert(merged.end(), response.matches.begin(),
-                  response.matches.end());
-    if (stats != nullptr) AccumulateStats(response.stats, stats);
-  }
-  // Windows are partitioned, so the per-shard answers are disjoint; the
-  // union re-sorted by record is exactly the single-engine answer.
-  std::sort(merged.begin(), merged.end(), RecordLess);
-  return merged;
+Result<std::vector<core::Match>> ShardedEngine::LongRangeQuery(
+    std::span<const double> query, double eps, const core::TransformCost& cost,
+    core::QueryStats* stats) const {
+  service::QueryRequest request =
+      MakeRequest(service::QueryKind::kLongRange, query, cost);
+  request.eps = eps;
+  return MergeByRecord(ScatterGather(request, stats));
 }
 
 Result<std::vector<core::Match>> ShardedEngine::Knn(
     std::span<const double> query, std::size_t k,
     const core::TransformCost& cost, core::QueryStats* stats) const {
   core::KnnSharedBound bound;
-  std::vector<service::QueryRequest> requests(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    requests[i].kind = service::QueryKind::kKnn;
-    requests[i].query.assign(query.begin(), query.end());
-    requests[i].k = k;
-    requests[i].cost = cost;
-    requests[i].target = shards_[i].get();
-    requests[i].knn_bound = &bound;
-  }
-  Result<std::vector<service::QueryResponse>> responses = FanOut(requests);
-  if (!responses.ok()) return responses.status();
-  RecordShardCosts(*responses);
+  service::QueryRequest request =
+      MakeRequest(service::QueryKind::kKnn, query, cost);
+  request.k = k;
+  request.knn_bound = &bound;
+  Result<std::vector<std::vector<core::Match>>> lists =
+      ScatterGather(request, stats);
+  if (!lists.ok()) return lists.status();
 
   // Each shard returns its local top-k in canonical (distance, record)
   // order; any global top-k member is necessarily in its shard's local
-  // top-k, so a k-way merge of the heads yields the global answer.
-  std::vector<std::vector<core::Match>> lists(responses->size());
-  for (std::size_t i = 0; i < responses->size(); ++i) {
-    service::QueryResponse& response = (*responses)[i];
-    if (!response.status.ok()) return response.status;
-    RemapToGlobal(static_cast<std::uint32_t>(i), &response.matches);
-    // Locals are assigned in global order, so the remap preserves the
-    // canonical order; the sort is a cheap belt-and-braces guarantee.
-    std::sort(response.matches.begin(), response.matches.end(),
-              CanonicalLess);
-    lists[i] = std::move(response.matches);
-    if (stats != nullptr) AccumulateStats(response.stats, stats);
+  // top-k, so a k-way merge of the heads yields the global answer. Locals
+  // are assigned in global order, so the remap preserves the canonical
+  // order; the sort is a cheap belt-and-braces guarantee.
+  for (std::vector<core::Match>& list : *lists) {
+    std::sort(list.begin(), list.end(), core::CanonicalBefore);
   }
-
   using Head = std::pair<std::size_t, std::size_t>;  // (list, position)
   auto head_greater = [&lists](const Head& a, const Head& b) {
-    return CanonicalLess(lists[b.first][b.second], lists[a.first][a.second]);
+    return core::CanonicalBefore((*lists)[b.first][b.second],
+                                 (*lists)[a.first][a.second]);
   };
   std::priority_queue<Head, std::vector<Head>, decltype(head_greater)> heads(
       head_greater);
-  for (std::size_t i = 0; i < lists.size(); ++i) {
-    if (!lists[i].empty()) heads.push({i, 0});
+  for (std::size_t i = 0; i < lists->size(); ++i) {
+    if (!(*lists)[i].empty()) heads.push({i, 0});
   }
   std::vector<core::Match> merged;
   merged.reserve(k);
   while (merged.size() < k && !heads.empty()) {
     const Head head = heads.top();
     heads.pop();
-    merged.push_back(lists[head.first][head.second]);
-    if (head.second + 1 < lists[head.first].size()) {
+    merged.push_back((*lists)[head.first][head.second]);
+    if (head.second + 1 < (*lists)[head.first].size()) {
       heads.push({head.first, head.second + 1});
     }
   }
-  return merged;
-}
-
-Result<std::vector<core::Match>> ShardedEngine::LongRangeQuery(
-    std::span<const double> query, double eps, const core::TransformCost& cost,
-    core::QueryStats* stats) const {
-  std::vector<service::QueryRequest> requests(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    requests[i].kind = service::QueryKind::kLongRange;
-    requests[i].query.assign(query.begin(), query.end());
-    requests[i].eps = eps;
-    requests[i].cost = cost;
-    requests[i].target = shards_[i].get();
-  }
-  Result<std::vector<service::QueryResponse>> responses = FanOut(requests);
-  if (!responses.ok()) return responses.status();
-  RecordShardCosts(*responses);
-
-  std::vector<core::Match> merged;
-  for (std::size_t i = 0; i < responses->size(); ++i) {
-    service::QueryResponse& response = (*responses)[i];
-    if (!response.status.ok()) return response.status;
-    RemapToGlobal(static_cast<std::uint32_t>(i), &response.matches);
-    merged.insert(merged.end(), response.matches.begin(),
-                  response.matches.end());
-    if (stats != nullptr) AccumulateStats(response.stats, stats);
-  }
-  // A series lives wholly in one shard, so every candidate piece of a
-  // long query is verified in the shard that owns the series; the
-  // per-window verdicts are disjoint and merge like a range query.
-  std::sort(merged.begin(), merged.end(), RecordLess);
   return merged;
 }
 

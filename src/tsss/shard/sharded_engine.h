@@ -106,8 +106,9 @@ class ShardedEngine {
   Status Checkpoint();
 
   /// Fan-out counterparts of the SearchEngine query API. Answers and
-  /// `stats` (summed across shards) are in the global id space; matches are
-  /// bit-identical to a single engine indexing the same corpus.
+  /// `stats` (summed across shards, written only on success) are in the
+  /// global id space; matches are bit-identical to a single engine indexing
+  /// the same corpus.
   Result<std::vector<core::Match>> RangeQuery(
       std::span<const double> query, double eps,
       const core::TransformCost& cost = {},
@@ -163,14 +164,14 @@ class ShardedEngine {
 
   std::string ShardDir(std::uint32_t i) const;
 
-  /// Submits one sub-request per shard and gathers every response; retries
-  /// admission when concurrent fan-outs momentarily fill the queue.
-  Result<std::vector<service::QueryResponse>> FanOut(
-      const std::vector<service::QueryRequest>& requests) const;
-
-  /// Rewrites a shard-local answer into the global id space (in place).
-  void RemapToGlobal(std::uint32_t from_shard,
-                     std::vector<core::Match>* matches) const;
+  /// The scatter-gather every fan-out query shares: sends `request` to
+  /// every shard (retrying admission while concurrent fan-outs momentarily
+  /// fill the queue), records each leg's cost under its shard label, and
+  /// returns the per-shard answers remapped to global ids, in shard order.
+  /// On success `*stats` (when non-null) is the sum over shards; a failed
+  /// leg's status is returned and no stats are written.
+  Result<std::vector<std::vector<core::Match>>> ScatterGather(
+      const service::QueryRequest& request, core::QueryStats* stats) const;
 
   ShardedEngineConfig config_;
   ShardMap map_;

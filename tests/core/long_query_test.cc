@@ -1,4 +1,5 @@
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -138,19 +139,38 @@ TEST(LongQueryTest, MatchesCarryGlobalTransform) {
 }
 
 TEST(LongQueryTest, QueryStatsPopulated) {
-  auto engine = SearchEngine::Create(LongQueryConfig());
-  ASSERT_TRUE(engine.ok());
-  Rng rng(84);
-  Vec values(200);
-  for (auto& x : values) x = rng.Uniform(0, 10);
-  ASSERT_TRUE((*engine)->AddSeries("s", values).ok());
+  // `candidates` counts windows verified (after sub-trail expansion,
+  // de-duplication across pieces and the series-bounds check), like range
+  // and k-NN, so the post-filter identity holds in both index modes.
+  for (const std::size_t subtrail_len : {0u, 4u}) {
+    EngineConfig config = LongQueryConfig();
+    config.subtrail_len = subtrail_len;
+    auto engine = SearchEngine::Create(config);
+    ASSERT_TRUE(engine.ok());
+    Rng rng(84);
+    Vec values(200);
+    for (auto& x : values) x = rng.Uniform(0, 10);
+    ASSERT_TRUE((*engine)->AddSeries("s", values).ok());
 
-  QueryStats stats;
-  const Vec query(values.begin(), values.begin() + 48);
-  auto matches = (*engine)->LongRangeQuery(query, 0.5, TransformCost{}, &stats);
-  ASSERT_TRUE(matches.ok());
-  EXPECT_GT(stats.index_page_reads, 0u);
-  EXPECT_EQ(stats.matches, matches->size());
+    const Vec query(values.begin(), values.begin() + 48);
+    for (const double eps : {0.5, 3.0, 1e6}) {
+      SCOPED_TRACE("subtrail_len " + std::to_string(subtrail_len) + " eps " +
+                   std::to_string(eps));
+      QueryStats stats;
+      auto matches =
+          (*engine)->LongRangeQuery(query, eps, TransformCost{}, &stats);
+      ASSERT_TRUE(matches.ok());
+      EXPECT_GT(stats.index_page_reads, 0u);
+      EXPECT_EQ(stats.matches, matches->size());
+      EXPECT_EQ(stats.telemetry.candidates_postfiltered + stats.matches,
+                stats.candidates);
+      if (eps > 1e5) {
+        // Every piece hits every window, yet each of the 200 - 48 + 1
+        // full-length windows is verified exactly once.
+        EXPECT_EQ(stats.candidates, 153u);
+      }
+    }
+  }
 }
 
 }  // namespace

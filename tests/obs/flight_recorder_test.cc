@@ -243,12 +243,16 @@ TEST(FlightRecorderServiceTest, CapturedExplainTotalsMatchQueryStats) {
   EXPECT_EQ(record.explain.mbr_distance_evals, t.mbr_distance_evals);
   EXPECT_TRUE(explain_accounted(record.explain));
 
-  // Cost flows through unchanged, and the trace produced explain phases.
-  EXPECT_EQ(record.cost.cpu_us, response.stats.cost.cpu_us);
-  EXPECT_EQ(record.cost.pages_hit, response.stats.cost.pages_hit);
-  EXPECT_EQ(record.cost.pages_miss, response.stats.cost.pages_miss);
-  EXPECT_EQ(record.cost.candidates_verified,
-            response.stats.cost.candidates_verified);
+  // The cost is the one derived from the query's own stats, and the trace
+  // produced explain phases.
+  const QueryCost derived = core::DeriveQueryCost(response.stats);
+  EXPECT_EQ(record.cost.cpu_us, derived.cpu_us);
+  EXPECT_EQ(record.cost.pages_hit, derived.pages_hit);
+  EXPECT_EQ(record.cost.pages_miss, derived.pages_miss);
+  EXPECT_EQ(record.cost.data_pages, derived.data_pages);
+  EXPECT_EQ(record.cost.bytes_touched, derived.bytes_touched);
+  EXPECT_EQ(record.cost.candidates_verified, derived.candidates_verified);
+  EXPECT_EQ(record.explain.cost.cpu_us, derived.cpu_us);
   EXPECT_FALSE(record.explain.phases.empty());
   EXPECT_EQ(record.latency_us,
             static_cast<std::uint64_t>(response.latency.count()));

@@ -189,7 +189,7 @@ TEST(ShardStressTest, ConcurrentMixedWorkloadMatchesSingleEngineOracle) {
     }
   }
 
-  // Every sub-query was admitted (possibly after FanOut retries) and served.
+  // Every sub-query was admitted (possibly after ScatterGather retries) and served.
   const service::ServiceMetrics metrics = (*sharded)->FanoutStats();
   EXPECT_EQ(metrics.served, 2 * workload.size() * kShards);
   EXPECT_EQ(metrics.failed, 0u);
