@@ -32,11 +32,13 @@
 //
 // Sharded indexes: `build --shards N` partitions the corpus across N shard
 // engines under <index>/shard-<i> with the shard map at
-// <index>/shard_map.tsss. query/knn/explain/inspect/serve-bench detect the
-// shard map automatically and route through the scatter-gather ShardedEngine
-// (explain renders the merged per-shard prune waterfall; inspect prints the
-// shard map plus per-shard rows). Answers are bit-identical to a single
-// engine over the same data.
+// <index>/shard_map.tsss. Every command that opens an index detects the
+// shard map automatically and routes through the scatter-gather
+// ShardedEngine (explain renders the merged per-shard prune waterfall;
+// inspect prints the shard map plus per-shard rows; info adds the per-shard
+// rows). Answers are bit-identical to a single engine over the same data.
+// On a sharded index --workers sizes the fan-out pool (default: one worker
+// per shard); on a single engine it sizes the QueryService.
 //
 // Patterns: ramp, v, peak, sine, step, hns, saturation, cup.
 //
@@ -68,6 +70,9 @@
 // CPU attribution plus folded stacks (--out writes the flamegraph input,
 // --json-out the schema-v1 report). --queries bounds the workload (0 =
 // loop until the time is up).
+//
+// `serve-bench` counts only queries that completed OK; it exits 1 when any
+// query failed, except for deadline expiries under --timeout-ms.
 
 #include <algorithm>
 #include <chrono>
@@ -100,6 +105,8 @@
 namespace {
 
 using tsss::Status;
+using tsss::core::Match;
+using tsss::storage::SeriesId;
 
 /// Minimal --flag value parser: flags must be "--name value".
 class Flags {
@@ -153,6 +160,11 @@ int Usage() {
   return 2;
 }
 
+int UnknownFormat(const char* command, const std::string& format) {
+  std::fprintf(stderr, "%s: unknown --format '%s'\n", command, format.c_str());
+  return 2;
+}
+
 /// Dumps the global event-log ring to --log-file, if given.
 int MaybeDumpEventLog(const Flags& flags) {
   const std::string path = flags.Get("log-file", "");
@@ -176,6 +188,19 @@ int WriteFileOrFail(const std::string& path, const std::string& contents) {
   return 0;
 }
 
+/// Writes a rendered `what` report to --out (and says so), else to stdout.
+int EmitReport(const Flags& flags, const char* what,
+               const std::string& rendered) {
+  const std::string out = flags.Get("out", "");
+  if (out.empty()) {
+    std::fputs(rendered.c_str(), stdout);
+    return 0;
+  }
+  if (int rc = WriteFileOrFail(out, rendered); rc != 0) return rc;
+  std::printf("%s report written to %s\n", what, out.c_str());
+  return 0;
+}
+
 /// True when `index_dir` is a sharded index root (its shard map exists).
 bool IsShardedIndex(const std::string& index_dir) {
   std::FILE* f = std::fopen(
@@ -187,6 +212,198 @@ bool IsShardedIndex(const std::string& index_dir) {
 
 const char* SchemeName(tsss::shard::ShardScheme scheme) {
   return scheme == tsss::shard::ShardScheme::kHash ? "hash" : "round-robin";
+}
+
+/// An opened index: one SearchEngine, or a ShardedEngine when the directory
+/// holds a shard map. Every command that reads an index goes through this,
+/// so each command is written once against both kinds. The serving members
+/// (Serve, Metrics, rolling, workers, PoolHitRates) need `service` on a
+/// single engine.
+struct OpenIndex {
+  std::string dir;
+  std::unique_ptr<tsss::core::SearchEngine> single;
+  /// Single engine only, and only for commands that serve traffic: the
+  /// service behind Serve() and Metrics(). Declared after `single` so it is
+  /// joined before the engine goes away.
+  std::unique_ptr<tsss::service::QueryService> service;
+  std::unique_ptr<tsss::shard::ShardedEngine> sharded;
+  /// --workers for the sharded fan-out pool (0 = one per shard).
+  std::size_t fanout_workers = 0;
+
+  const tsss::core::EngineConfig& config() const {
+    return sharded ? sharded->engine_config() : single->config();
+  }
+  std::size_t window() const { return config().window; }
+  std::size_t num_series() const {
+    return sharded ? static_cast<std::size_t>(sharded->total_series())
+                   : single->dataset().size();
+  }
+  std::uint32_t num_shards() const {
+    return sharded ? sharded->num_shards() : 1;
+  }
+  /// The engines that hold the data: the one engine, or every shard.
+  std::vector<const tsss::core::SearchEngine*> Engines() const {
+    if (!sharded) return {single.get()};
+    std::vector<const tsss::core::SearchEngine*> shards;
+    for (std::uint32_t i = 0; i < sharded->num_shards(); ++i) {
+      shards.push_back(&sharded->shard(i));
+    }
+    return shards;
+  }
+  std::size_t total_values() const {
+    std::size_t values = 0;
+    for (const tsss::core::SearchEngine* engine : Engines()) {
+      values += engine->dataset().total_values();
+    }
+    return values;
+  }
+
+  tsss::Result<std::span<const double>> Values(SeriesId id) const {
+    if (sharded) return sharded->SeriesValues(id);
+    return single->dataset().Values(id);
+  }
+  tsss::Result<std::string> Name(SeriesId id) const {
+    if (sharded) return sharded->SeriesName(id);
+    return single->dataset().Name(id);
+  }
+  tsss::Result<SeriesId> Find(const std::string& name) const {
+    if (sharded) return sharded->FindSeries(name);
+    return single->dataset().FindSeries(name);
+  }
+
+  tsss::Result<std::vector<Match>> RangeQuery(
+      std::span<const double> query, double eps,
+      const tsss::core::TransformCost& cost = {},
+      tsss::core::QueryStats* stats = nullptr) const {
+    if (sharded) return sharded->RangeQuery(query, eps, cost, stats);
+    return single->RangeQuery(query, eps, cost, stats);
+  }
+  tsss::Result<std::vector<Match>> Knn(
+      std::span<const double> query, std::size_t k,
+      tsss::core::QueryStats* stats = nullptr) const {
+    if (sharded) return sharded->Knn(query, k, {}, stats);
+    return single->Knn(query, k, {}, stats);
+  }
+  tsss::Result<tsss::obs::ExplainReport> ExplainLast() const {
+    if (sharded) return sharded->ExplainLast();
+    return single->ExplainLast();
+  }
+
+  /// One range query the way a server runs it: through the fan-out on a
+  /// sharded index, through the QueryService on a single engine (retrying
+  /// while its queue is full).
+  Status Serve(std::span<const double> query, double eps) const {
+    if (sharded) return sharded->RangeQuery(query, eps).status();
+    tsss::service::QueryRequest request;
+    request.kind = tsss::service::QueryKind::kRange;
+    request.query.assign(query.begin(), query.end());
+    request.eps = eps;
+    for (;;) {
+      auto future = service->Submit(request);
+      if (future.ok()) return future->get().status;
+      if (future.status().code() != tsss::StatusCode::kResourceExhausted) {
+        return future.status();
+      }
+      std::this_thread::yield();
+    }
+  }
+
+  /// Counters of the serving pool: the QueryService, or the fan-out pool
+  /// (whose counts are per-shard legs, not logical queries).
+  tsss::service::ServiceMetrics Metrics() const {
+    return sharded ? sharded->FanoutStats() : service->Stats();
+  }
+  tsss::obs::RollingWindow& rolling() const {
+    return sharded ? sharded->rolling() : service->rolling();
+  }
+  std::size_t workers() const {
+    if (!sharded) return service->config().num_workers;
+    return fanout_workers != 0 ? fanout_workers : sharded->num_shards();
+  }
+  /// Buffer-pool hit rate per shard; one entry for a single engine.
+  std::vector<double> PoolHitRates() const {
+    if (!sharded) return {Metrics().pool_hit_rate};
+    std::vector<double> rates;
+    for (const tsss::shard::ShardInfo& info : sharded->ShardInfos()) {
+      rates.push_back(info.pool_hit_rate);
+    }
+    return rates;
+  }
+};
+
+/// Opens --index for `command`, as a ShardedEngine when it holds a shard
+/// map (whose fan-out pool --workers sizes). A single engine goes behind a
+/// QueryService built from `service_config` when one is given, for the
+/// commands that serve traffic. Returns 0 or the exit code to return.
+int OpenIndexOrFail(
+    const Flags& flags, const char* command, OpenIndex* index,
+    const tsss::service::ServiceConfig* service_config = nullptr) {
+  index->dir = flags.Get("index", "");
+  if (index->dir.empty()) {
+    std::fprintf(stderr, "%s: --index dir is required\n", command);
+    return 2;
+  }
+  if (IsShardedIndex(index->dir)) {
+    index->fanout_workers = flags.GetSize("workers", 0);
+    auto sharded =
+        tsss::shard::ShardedEngine::Open(index->dir, index->fanout_workers);
+    if (!sharded.ok()) return Fail(sharded.status());
+    index->sharded = std::move(sharded).value();
+    return 0;
+  }
+  auto single = tsss::core::SearchEngine::Open(index->dir);
+  if (!single.ok()) return Fail(single.status());
+  index->single = std::move(single).value();
+  if (service_config == nullptr) return 0;
+  auto service = tsss::service::QueryService::Create(index->single.get(),
+                                                     *service_config);
+  if (!service.ok()) return Fail(service.status());
+  index->service = std::move(service).value();
+  return 0;
+}
+
+/// Window `i` of the deterministic sample workload: series i mod
+/// num_series at offset (i * 37) mod (len - n + 1), so every query is a
+/// window of the indexed data itself. Empty when that series is shorter
+/// than a window.
+tsss::Result<std::span<const double>> SampleWindow(const OpenIndex& index,
+                                                   std::size_t i) {
+  const std::size_t num_series = index.num_series();
+  if (num_series == 0) return Status::FailedPrecondition("empty index");
+  auto values = index.Values(static_cast<SeriesId>(i % num_series));
+  if (!values.ok()) return values.status();
+  const std::size_t n = index.window();
+  if (values->size() < n) return std::span<const double>();
+  return values->subspan((i * 37) % (values->size() - n + 1), n);
+}
+
+/// Calls `fn` on the first `count` sample windows (skipping series shorter
+/// than a window) and stops at the first error. An empty index is an error
+/// even when `count` is 0.
+template <typename Fn>
+Status ForEachSample(const OpenIndex& index, std::size_t count, const Fn& fn) {
+  if (index.num_series() == 0) return Status::FailedPrecondition("empty index");
+  for (std::size_t i = 0; i < count; ++i) {
+    auto window = SampleWindow(index, i);
+    if (!window.ok()) return window.status();
+    if (window->empty()) continue;
+    if (Status s = fn(*window); !s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+/// Runs `count` sample windows as direct range queries.
+Status RunSampleRange(const OpenIndex& index, std::size_t count, double eps) {
+  return ForEachSample(index, count, [&](std::span<const double> window) {
+    return index.RangeQuery(window, eps).status();
+  });
+}
+
+/// Runs `count` sample windows the way a server does (OpenIndex::Serve).
+Status ServeSample(const OpenIndex& index, std::size_t count, double eps) {
+  return ForEachSample(index, count, [&](std::span<const double> window) {
+    return index.Serve(window, eps);
+  });
 }
 
 tsss::Result<tsss::geom::Vec> PatternByName(const std::string& name,
@@ -205,25 +422,25 @@ tsss::Result<tsss::geom::Vec> PatternByName(const std::string& name,
 
 /// Resolves the query vector from --pattern or --series/--offset flags.
 tsss::Result<tsss::geom::Vec> ResolveQuery(const Flags& flags,
-                                           tsss::core::SearchEngine& engine) {
-  const std::size_t n = engine.config().window;
+                                           const OpenIndex& index) {
+  const std::size_t n = index.window();
   if (flags.Has("pattern")) {
     return PatternByName(flags.Get("pattern", ""), n);
   }
   if (flags.Has("series")) {
     // --series accepts an id or a name ("7" or "HK7").
     const std::string series_arg = flags.Get("series", "0");
-    tsss::storage::SeriesId series;
+    SeriesId series;
     if (!series_arg.empty() &&
         series_arg.find_first_not_of("0123456789") == std::string::npos) {
-      series = static_cast<tsss::storage::SeriesId>(std::atoll(series_arg.c_str()));
+      series = static_cast<SeriesId>(std::atoll(series_arg.c_str()));
     } else {
-      auto found = engine.dataset().FindSeries(series_arg);
+      auto found = index.Find(series_arg);
       if (!found.ok()) return found.status();
       series = *found;
     }
     const std::size_t offset = flags.GetSize("offset", 0);
-    auto values = engine.dataset().Values(series);
+    auto values = index.Values(series);
     if (!values.ok()) return values.status();
     if (offset + n > values->size()) {
       return Status::OutOfRange("window beyond series end");
@@ -235,83 +452,81 @@ tsss::Result<tsss::geom::Vec> ResolveQuery(const Flags& flags,
   return Status::InvalidArgument("need --pattern NAME or --series I [--offset K]");
 }
 
-/// Sharded counterpart of ResolveQuery: series lookups go through the
-/// ShardedEngine's global-id directory instead of one engine's dataset.
-tsss::Result<tsss::geom::Vec> ResolveShardedQuery(
-    const Flags& flags, const tsss::shard::ShardedEngine& engine) {
-  const std::size_t n = engine.engine_config().window;
-  if (flags.Has("pattern")) {
-    return PatternByName(flags.Get("pattern", ""), n);
-  }
-  if (flags.Has("series")) {
-    // --series accepts an id or a name ("7" or "HK7").
-    const std::string series_arg = flags.Get("series", "0");
-    tsss::storage::SeriesId series;
-    if (!series_arg.empty() &&
-        series_arg.find_first_not_of("0123456789") == std::string::npos) {
-      series =
-          static_cast<tsss::storage::SeriesId>(std::atoll(series_arg.c_str()));
-    } else {
-      auto found = engine.FindSeries(series_arg);
-      if (!found.ok()) return found.status();
-      series = *found;
-    }
-    const std::size_t offset = flags.GetSize("offset", 0);
-    auto values = engine.SeriesValues(series);
-    if (!values.ok()) return values.status();
-    if (offset + n > values->size()) {
-      return Status::OutOfRange("window beyond series end");
-    }
-    return tsss::geom::Vec(
-        values->begin() + static_cast<std::ptrdiff_t>(offset),
-        values->begin() + static_cast<std::ptrdiff_t>(offset + n));
-  }
-  return Status::InvalidArgument("need --pattern NAME or --series I [--offset K]");
+/// The range-query transform cost from --positive / --min-scale.
+tsss::core::TransformCost CostFromFlags(const Flags& flags) {
+  tsss::core::TransformCost cost;
+  if (flags.Has("positive")) cost.min_scale = 0.0;
+  if (flags.Has("min-scale")) cost.min_scale = flags.GetDouble("min-scale", 0.0);
+  return cost;
 }
 
-void PrintMatches(tsss::core::SearchEngine& engine,
-                  const std::vector<tsss::core::Match>& matches,
+/// " across N shards" for a sharded index's summary line, else "".
+std::string AcrossShards(const OpenIndex& index) {
+  return index.sharded
+             ? " across " + std::to_string(index.num_shards()) + " shards"
+             : "";
+}
+
+void PrintMatches(const OpenIndex& index, const std::vector<Match>& matches,
                   std::size_t limit) {
   std::printf("%-16s %-8s %-12s %-12s %-10s\n", "series", "offset", "scale(a)",
               "shift(b)", "distance");
-  std::size_t shown = 0;
-  for (const tsss::core::Match& m : matches) {
-    auto name = engine.dataset().Name(m.series);
+  const std::size_t shown = std::min(matches.size(), limit);
+  for (std::size_t i = 0; i < shown; ++i) {
+    const Match& m = matches[i];
+    auto name = index.Name(m.series);
     std::printf("%-16s %-8u %-12.4f %-12.4f %-10.4f\n",
                 name.ok() ? name->c_str() : "?", m.offset, m.transform.scale,
                 m.transform.offset, m.distance);
-    if (++shown >= limit) {
-      std::printf("... (%zu more)\n", matches.size() - shown);
-      break;
-    }
+  }
+  if (shown < matches.size()) {
+    std::printf("... (%zu more)\n", matches.size() - shown);
   }
 }
 
-void PrintShardedMatches(const tsss::shard::ShardedEngine& engine,
-                         const std::vector<tsss::core::Match>& matches,
-                         std::size_t limit) {
-  std::printf("%-16s %-8s %-12s %-12s %-10s\n", "series", "offset", "scale(a)",
-              "shift(b)", "distance");
-  std::size_t shown = 0;
-  for (const tsss::core::Match& m : matches) {
-    auto name = engine.SeriesName(m.series);
-    std::printf("%-16s %-8u %-12.4f %-12.4f %-10.4f\n",
-                name.ok() ? name->c_str() : "?", m.offset, m.transform.scale,
-                m.transform.offset, m.distance);
-    if (++shown >= limit) {
-      std::printf("... (%zu more)\n", matches.size() - shown);
-      break;
+/// --trace for query and knn: records the calling thread's spans while
+/// alive; Write() saves them for chrome://tracing. A sharded query runs on
+/// fan-out workers, so there the flag is noted and ignored.
+class CliTrace {
+ public:
+  CliTrace(const Flags& flags, const OpenIndex& index) {
+    if (!flags.Has("trace")) return;
+    if (index.sharded) {
+      std::fprintf(stderr,
+                   "note: --trace is per-thread and sharded queries run on "
+                   "fan-out workers; ignoring --trace\n");
+      return;
     }
+    path_ = flags.Get("trace", "");
+    scope_.emplace(&trace_);
   }
-}
+  CliTrace(const CliTrace&) = delete;
+  CliTrace& operator=(const CliTrace&) = delete;
 
-/// --trace captures the calling thread's spans; a sharded query runs on the
-/// fan-out workers, so there is nothing meaningful to record.
-void WarnTraceUnsupportedSharded(const Flags& flags) {
-  if (flags.Has("trace")) {
-    std::fprintf(stderr,
-                 "note: --trace is per-thread and sharded queries run on "
-                 "fan-out workers; ignoring --trace\n");
+  int Write() {
+    if (path_.empty()) return 0;
+    scope_.reset();
+    if (int rc = WriteFileOrFail(path_, trace_.ToChromeJson()); rc != 0) {
+      return rc;
+    }
+    std::printf("trace written to %s (load in chrome://tracing)\n",
+                path_.c_str());
+    return 0;
+  }
+
+ private:
+  std::string path_;
+  tsss::obs::QueryTrace trace_;
+  std::optional<tsss::obs::ScopedQueryTrace> scope_;
+};
+
+/// One "  shard-i: ..." row per shard, as build and info print them.
+void PrintShardRows(const tsss::shard::ShardedEngine& engine) {
+  for (const tsss::shard::ShardInfo& info : engine.ShardInfos()) {
+    std::printf("  shard-%u: %llu series, %llu windows, tree height %zu\n",
+                info.shard, static_cast<unsigned long long>(info.series),
+                static_cast<unsigned long long>(info.indexed_windows),
+                info.tree_height);
   }
 }
 
@@ -383,12 +598,7 @@ int CmdBuild(const Flags& flags) {
                     (*sharded)->num_indexed_windows()),
                 series->size(), index_dir.c_str(), (*sharded)->num_shards(),
                 scheme.c_str());
-    for (const tsss::shard::ShardInfo& info : (*sharded)->ShardInfos()) {
-      std::printf("  shard-%u: %llu series, %llu windows, tree height %zu\n",
-                  info.shard, static_cast<unsigned long long>(info.series),
-                  static_cast<unsigned long long>(info.indexed_windows),
-                  info.tree_height);
-    }
+    PrintShardRows(**sharded);
     return 0;
   }
 
@@ -404,243 +614,129 @@ int CmdBuild(const Flags& flags) {
   return 0;
 }
 
-int CmdInfo(const Flags& flags) {
-  const std::string index_dir = flags.Get("index", "");
-  if (index_dir.empty()) {
-    std::fprintf(stderr, "info: --index dir is required\n");
-    return 2;
-  }
-  auto engine = tsss::core::SearchEngine::Open(index_dir);
-  if (!engine.ok()) return Fail(engine.status());
-  const auto& config = (*engine)->config();
-  auto stats = (*engine)->tree().ComputeStats();
-  if (!stats.ok()) return Fail(stats.status());
+/// Folds one tree's stats into `total`: counts add up, height is the
+/// tallest, and fills are node-weighted means (one tree folds to itself).
+void FoldTreeStats(const tsss::index::TreeStats& s,
+                   tsss::index::TreeStats* total) {
+  const auto mean = [](double a, std::size_t na, double b, std::size_t nb) {
+    return na == 0 ? b
+                   : (a * static_cast<double>(na) + b * static_cast<double>(nb)) /
+                         static_cast<double>(na + nb);
+  };
+  total->avg_leaf_fill = mean(total->avg_leaf_fill, total->leaf_count,
+                              s.avg_leaf_fill, s.leaf_count);
+  total->avg_internal_fill =
+      mean(total->avg_internal_fill, total->node_count - total->leaf_count,
+           s.avg_internal_fill, s.node_count - s.leaf_count);
+  total->height = std::max(total->height, s.height);
+  total->node_count += s.node_count;
+  total->node_pages += s.node_pages;
+  total->leaf_count += s.leaf_count;
+}
 
-  std::printf("index            : %s\n", index_dir.c_str());
-  std::printf("series           : %zu (%zu values)\n",
-              (*engine)->dataset().size(), (*engine)->dataset().total_values());
+/// The index summary; a sharded index reports its shards' totals, then one
+/// row per shard.
+int CmdInfo(const Flags& flags) {
+  OpenIndex index;
+  if (int rc = OpenIndexOrFail(flags, "info", &index); rc != 0) return rc;
+  const std::vector<const tsss::core::SearchEngine*> engines = index.Engines();
+  tsss::index::TreeStats tree;
+  std::size_t windows = 0;
+  std::size_t entries = 0;
+  std::size_t data_pages = 0;
+  for (const tsss::core::SearchEngine* engine : engines) {
+    auto stats = engine->tree().ComputeStats();
+    if (!stats.ok()) return Fail(stats.status());
+    FoldTreeStats(*stats, &tree);
+    windows += engine->num_indexed_windows();
+    entries += engine->tree().size();
+    data_pages += engine->dataset().store().TotalPages();
+  }
+  const tsss::core::EngineConfig& config = engines.front()->config();
+
+  std::printf("index            : %s\n", index.dir.c_str());
+  std::printf("series           : %zu (%zu values)\n", index.num_series(),
+              index.total_values());
   std::printf("window / stride  : %zu / %zu\n", config.window, config.stride);
-  std::printf("reducer          : %s\n", (*engine)->reducer().Name().c_str());
+  std::printf("reducer          : %s\n",
+              engines.front()->reducer().Name().c_str());
   std::printf("sub-trail length : %zu%s\n", config.subtrail_len,
               config.subtrail_len == 0 ? " (point mode)" : "");
-  std::printf("indexed windows  : %zu\n", (*engine)->num_indexed_windows());
+  std::printf("indexed windows  : %zu\n", windows);
   std::printf("tree             : height %zu, %zu nodes (%zu pages), "
               "%zu leaf entries\n",
-              stats->height, stats->node_count, stats->node_pages,
-              (*engine)->tree().size());
+              tree.height, tree.node_count, tree.node_pages, entries);
   std::printf("fill             : leaves %.0f%%, internal %.0f%%\n",
-              100.0 * stats->avg_leaf_fill, 100.0 * stats->avg_internal_fill);
-  std::printf("data pages       : %zu (4 KiB each)\n",
-              (*engine)->dataset().store().TotalPages());
+              100.0 * tree.avg_leaf_fill, 100.0 * tree.avg_internal_fill);
+  std::printf("data pages       : %zu (4 KiB each)\n", data_pages);
+  if (index.sharded) PrintShardRows(*index.sharded);
   return 0;
 }
 
-int CmdQuerySharded(const Flags& flags, const std::string& index_dir) {
-  auto engine = tsss::shard::ShardedEngine::Open(index_dir);
-  if (!engine.ok()) return Fail(engine.status());
-  auto query = ResolveShardedQuery(flags, **engine);
-  if (!query.ok()) return Fail(query.status());
-  WarnTraceUnsupportedSharded(flags);
-
-  tsss::core::TransformCost cost;
-  if (flags.Has("positive")) cost.min_scale = 0.0;
-  if (flags.Has("min-scale")) cost.min_scale = flags.GetDouble("min-scale", 0.0);
-  const double eps = flags.GetDouble("eps", 0.5);
-
-  tsss::core::QueryStats stats;
-  auto matches = (*engine)->RangeQuery(*query, eps, cost, &stats);
-  if (!matches.ok()) return Fail(matches.status());
-
-  std::vector<tsss::core::Match> out = std::move(*matches);
-  const std::size_t suppress = flags.GetSize("suppress", 0);
-  if (suppress > 0) {
-    out = tsss::core::SuppressOverlaps(std::move(out),
-                                       static_cast<std::uint32_t>(suppress));
-  }
-  std::printf("%zu match(es) at eps=%.4g across %u shards "
-              "(%llu candidates, %llu pages)\n\n",
-              out.size(), eps, (*engine)->num_shards(),
-              static_cast<unsigned long long>(stats.candidates),
-              static_cast<unsigned long long>(stats.total_page_reads()));
-  PrintShardedMatches(**engine, out, flags.GetSize("limit", 25));
-  tsss::obs::EventLog::Global().Publish(
-      "cli", "range_query",
-      {{"matches", out.size()}, {"candidates", stats.candidates}});
-  return MaybeDumpEventLog(flags);
-}
-
 int CmdQuery(const Flags& flags) {
-  const std::string index_dir = flags.Get("index", "");
-  if (index_dir.empty()) {
-    std::fprintf(stderr, "query: --index dir is required\n");
-    return 2;
-  }
-  if (IsShardedIndex(index_dir)) return CmdQuerySharded(flags, index_dir);
-  auto engine = tsss::core::SearchEngine::Open(index_dir);
-  if (!engine.ok()) return Fail(engine.status());
-  auto query = ResolveQuery(flags, **engine);
+  OpenIndex index;
+  if (int rc = OpenIndexOrFail(flags, "query", &index); rc != 0) return rc;
+  auto query = ResolveQuery(flags, index);
   if (!query.ok()) return Fail(query.status());
-
-  tsss::core::TransformCost cost;
-  if (flags.Has("positive")) cost.min_scale = 0.0;
-  if (flags.Has("min-scale")) cost.min_scale = flags.GetDouble("min-scale", 0.0);
   const double eps = flags.GetDouble("eps", 0.5);
 
-  const std::string trace_path = flags.Get("trace", "");
-  tsss::obs::QueryTrace trace;
-  std::optional<tsss::obs::ScopedQueryTrace> scoped_trace;
-  if (!trace_path.empty()) scoped_trace.emplace(&trace);
-
+  CliTrace trace(flags, index);
   tsss::core::QueryStats stats;
-  auto matches = (*engine)->RangeQuery(*query, eps, cost, &stats);
+  auto matches = index.RangeQuery(*query, eps, CostFromFlags(flags), &stats);
   if (!matches.ok()) return Fail(matches.status());
+  if (int rc = trace.Write(); rc != 0) return rc;
 
-  if (!trace_path.empty()) {
-    scoped_trace.reset();
-    if (int rc = WriteFileOrFail(trace_path, trace.ToChromeJson()); rc != 0) {
-      return rc;
-    }
-    std::printf("trace written to %s (load in chrome://tracing)\n",
-                trace_path.c_str());
-  }
-
-  std::vector<tsss::core::Match> out = std::move(*matches);
+  std::vector<Match> out = std::move(*matches);
   const std::size_t suppress = flags.GetSize("suppress", 0);
   if (suppress > 0) {
     out = tsss::core::SuppressOverlaps(std::move(out),
                                        static_cast<std::uint32_t>(suppress));
   }
-  std::printf("%zu match(es) at eps=%.4g (%llu candidates, %llu pages)\n\n",
-              out.size(), eps,
+  std::printf("%zu match(es) at eps=%.4g%s (%llu candidates, %llu pages)\n\n",
+              out.size(), eps, AcrossShards(index).c_str(),
               static_cast<unsigned long long>(stats.candidates),
               static_cast<unsigned long long>(stats.total_page_reads()));
-  PrintMatches(**engine, out, flags.GetSize("limit", 25));
+  PrintMatches(index, out, flags.GetSize("limit", 25));
   tsss::obs::EventLog::Global().Publish(
       "cli", "range_query",
       {{"matches", out.size()}, {"candidates", stats.candidates}});
-  return MaybeDumpEventLog(flags);
-}
-
-int CmdKnnSharded(const Flags& flags, const std::string& index_dir) {
-  auto engine = tsss::shard::ShardedEngine::Open(index_dir);
-  if (!engine.ok()) return Fail(engine.status());
-  auto query = ResolveShardedQuery(flags, **engine);
-  if (!query.ok()) return Fail(query.status());
-  WarnTraceUnsupportedSharded(flags);
-
-  const std::size_t k = flags.GetSize("k", 10);
-  auto matches = (*engine)->Knn(*query, k);
-  if (!matches.ok()) return Fail(matches.status());
-
-  std::printf("%zu nearest window(s) across %u shards:\n\n", matches->size(),
-              (*engine)->num_shards());
-  PrintShardedMatches(**engine, *matches, k);
-  tsss::obs::EventLog::Global().Publish(
-      "cli", "knn_query", {{"k", k}, {"matches", matches->size()}});
   return MaybeDumpEventLog(flags);
 }
 
 int CmdKnn(const Flags& flags) {
-  const std::string index_dir = flags.Get("index", "");
-  if (index_dir.empty()) {
-    std::fprintf(stderr, "knn: --index dir is required\n");
-    return 2;
-  }
-  if (IsShardedIndex(index_dir)) return CmdKnnSharded(flags, index_dir);
-  auto engine = tsss::core::SearchEngine::Open(index_dir);
-  if (!engine.ok()) return Fail(engine.status());
-  auto query = ResolveQuery(flags, **engine);
+  OpenIndex index;
+  if (int rc = OpenIndexOrFail(flags, "knn", &index); rc != 0) return rc;
+  auto query = ResolveQuery(flags, index);
   if (!query.ok()) return Fail(query.status());
 
-  const std::string trace_path = flags.Get("trace", "");
-  tsss::obs::QueryTrace trace;
-  std::optional<tsss::obs::ScopedQueryTrace> scoped_trace;
-  if (!trace_path.empty()) scoped_trace.emplace(&trace);
-
+  CliTrace trace(flags, index);
   const std::size_t k = flags.GetSize("k", 10);
-  auto matches = (*engine)->Knn(*query, k);
+  auto matches = index.Knn(*query, k);
   if (!matches.ok()) return Fail(matches.status());
+  if (int rc = trace.Write(); rc != 0) return rc;
 
-  if (!trace_path.empty()) {
-    scoped_trace.reset();
-    if (int rc = WriteFileOrFail(trace_path, trace.ToChromeJson()); rc != 0) {
-      return rc;
-    }
-    std::printf("trace written to %s (load in chrome://tracing)\n",
-                trace_path.c_str());
-  }
-  std::printf("%zu nearest window(s):\n\n", matches->size());
-  PrintMatches(**engine, *matches, k);
+  std::printf("%zu nearest window(s)%s:\n\n", matches->size(),
+              AcrossShards(index).c_str());
+  PrintMatches(index, *matches, k);
   tsss::obs::EventLog::Global().Publish("cli", "knn_query",
                                         {{"k", k}, {"matches", matches->size()}});
   return MaybeDumpEventLog(flags);
 }
 
-/// Sharded explain: runs the query through the fan-out path and renders the
-/// per-shard reports folded into one (the waterfall identity is preserved by
-/// summation). Phases are omitted — they are per-thread trace artifacts.
-int CmdExplainSharded(const Flags& flags, const std::string& index_dir) {
-  auto engine = tsss::shard::ShardedEngine::Open(index_dir);
-  if (!engine.ok()) return Fail(engine.status());
-  auto query = ResolveShardedQuery(flags, **engine);
-  if (!query.ok()) return Fail(query.status());
-
-  tsss::core::QueryStats stats;
-  if (flags.Has("knn")) {
-    auto matches = (*engine)->Knn(*query, flags.GetSize("k", 10), {}, &stats);
-    if (!matches.ok()) return Fail(matches.status());
-  } else {
-    tsss::core::TransformCost cost;
-    if (flags.Has("positive")) cost.min_scale = 0.0;
-    if (flags.Has("min-scale")) {
-      cost.min_scale = flags.GetDouble("min-scale", 0.0);
-    }
-    auto matches = (*engine)->RangeQuery(*query, flags.GetDouble("eps", 0.5),
-                                         cost, &stats);
-    if (!matches.ok()) return Fail(matches.status());
-  }
-
-  auto report = (*engine)->ExplainLast();
-  if (!report.ok()) return Fail(report.status());
-
-  const std::string format = flags.Get("format", "text");
-  std::string rendered;
-  if (format == "text") {
-    rendered = tsss::obs::RenderExplainText(*report);
-  } else if (format == "json") {
-    rendered = tsss::obs::RenderExplainJson(*report);
-  } else {
-    std::fprintf(stderr, "explain: unknown --format '%s'\n", format.c_str());
-    return 2;
-  }
-
-  const std::string out = flags.Get("out", "");
-  if (!out.empty()) {
-    if (int rc = WriteFileOrFail(out, rendered); rc != 0) return rc;
-    std::printf("explain report written to %s\n", out.c_str());
-  } else {
-    std::fputs(rendered.c_str(), stdout);
-  }
-  tsss::obs::EventLog::Global().Publish(
-      "cli", "explain",
-      {{"entries_tested", report->entries_tested},
-       {"matches", report->matches}});
-  return MaybeDumpEventLog(flags);
-}
-
-/// Runs one query with full telemetry and a trace, then renders the engine's
-/// plan report (prune waterfall, candidate funnel, I/O split, scan baseline).
+/// Runs one query with full telemetry and a trace, then renders the plan
+/// report (prune waterfall, candidate funnel, I/O split, scan baseline). A
+/// sharded index renders the per-shard reports folded into one (the
+/// waterfall identity is preserved by summation) and has no phases: those
+/// are per-thread trace artifacts and the shard legs run on fan-out workers.
 int CmdExplain(const Flags& flags) {
-  const std::string index_dir = flags.Get("index", "");
-  if (index_dir.empty()) {
-    std::fprintf(stderr, "explain: --index dir is required\n");
-    return 2;
-  }
-  if (IsShardedIndex(index_dir)) return CmdExplainSharded(flags, index_dir);
-  auto engine = tsss::core::SearchEngine::Open(index_dir);
-  if (!engine.ok()) return Fail(engine.status());
-  auto query = ResolveQuery(flags, **engine);
+  OpenIndex index;
+  if (int rc = OpenIndexOrFail(flags, "explain", &index); rc != 0) return rc;
+  auto query = ResolveQuery(flags, index);
   if (!query.ok()) return Fail(query.status());
+  const std::string format = flags.Get("format", "text");
+  if (format != "text" && format != "json") {
+    return UnknownFormat("explain", format);
+  }
 
   tsss::obs::QueryTrace trace;
   {
@@ -648,43 +744,23 @@ int CmdExplain(const Flags& flags) {
     tsss::obs::ScopedQueryTrace scoped_trace(&trace);
     tsss::core::QueryStats stats;
     if (flags.Has("knn")) {
-      auto matches =
-          (*engine)->Knn(*query, flags.GetSize("k", 10), {}, &stats);
+      auto matches = index.Knn(*query, flags.GetSize("k", 10), &stats);
       if (!matches.ok()) return Fail(matches.status());
     } else {
-      tsss::core::TransformCost cost;
-      if (flags.Has("positive")) cost.min_scale = 0.0;
-      if (flags.Has("min-scale")) {
-        cost.min_scale = flags.GetDouble("min-scale", 0.0);
-      }
-      auto matches = (*engine)->RangeQuery(
-          *query, flags.GetDouble("eps", 0.5), cost, &stats);
+      auto matches = index.RangeQuery(*query, flags.GetDouble("eps", 0.5),
+                                      CostFromFlags(flags), &stats);
       if (!matches.ok()) return Fail(matches.status());
     }
   }
 
-  auto report = (*engine)->ExplainLast();
+  auto report = index.ExplainLast();
   if (!report.ok()) return Fail(report.status());
   tsss::obs::FillExplainPhases(trace, &*report);
 
-  const std::string format = flags.Get("format", "text");
-  std::string rendered;
-  if (format == "text") {
-    rendered = tsss::obs::RenderExplainText(*report);
-  } else if (format == "json") {
-    rendered = tsss::obs::RenderExplainJson(*report);
-  } else {
-    std::fprintf(stderr, "explain: unknown --format '%s'\n", format.c_str());
-    return 2;
-  }
-
-  const std::string out = flags.Get("out", "");
-  if (!out.empty()) {
-    if (int rc = WriteFileOrFail(out, rendered); rc != 0) return rc;
-    std::printf("explain report written to %s\n", out.c_str());
-  } else {
-    std::fputs(rendered.c_str(), stdout);
-  }
+  const std::string rendered = format == "json"
+                                   ? tsss::obs::RenderExplainJson(*report)
+                                   : tsss::obs::RenderExplainText(*report);
+  if (int rc = EmitReport(flags, "explain", rendered); rc != 0) return rc;
   tsss::obs::EventLog::Global().Publish(
       "cli", "explain",
       {{"entries_tested", report->entries_tested},
@@ -700,43 +776,27 @@ struct PoolLevelRollup {
   std::uint64_t evictions = 0;
 };
 
-/// Sharded inspect: the shard map summary plus one row per shard. A sample
-/// workload (same stride as single-engine inspect) runs first so the
-/// per-shard pool hit rates reflect real fan-out traffic.
-int CmdInspectSharded(const Flags& flags, const std::string& index_dir) {
-  auto engine = tsss::shard::ShardedEngine::Open(index_dir);
-  if (!engine.ok()) return Fail(engine.status());
+/// Sharded inspect report: the shard map summary plus one row per shard.
+/// The sample workload runs first so the per-shard pool hit rates reflect
+/// real fan-out traffic.
+tsss::Result<std::string> RenderInspectSharded(const OpenIndex& index,
+                                               std::size_t num_queries,
+                                               double eps, bool json) {
+  if (Status s = RunSampleRange(index, num_queries, eps); !s.ok()) return s;
+  const tsss::shard::ShardedEngine& engine = *index.sharded;
+  const std::vector<tsss::shard::ShardInfo> infos = engine.ShardInfos();
+  const tsss::shard::ShardMap& map = engine.shard_map();
 
-  const std::size_t num_queries = flags.GetSize("queries", 25);
-  const double eps = flags.GetDouble("eps", 0.5);
-  const std::size_t n = (*engine)->engine_config().window;
-  const std::size_t num_series =
-      static_cast<std::size_t>((*engine)->total_series());
-  if (num_series == 0) return Fail(Status::FailedPrecondition("empty index"));
-  for (std::size_t i = 0; i < num_queries; ++i) {
-    const auto series = static_cast<tsss::storage::SeriesId>(i % num_series);
-    auto values = (*engine)->SeriesValues(series);
-    if (!values.ok()) return Fail(values.status());
-    if (values->size() < n) continue;
-    const std::size_t offset = (i * 37) % (values->size() - n + 1);
-    auto matches = (*engine)->RangeQuery(values->subspan(offset, n), eps, {});
-    if (!matches.ok()) return Fail(matches.status());
-  }
-
-  const std::vector<tsss::shard::ShardInfo> infos = (*engine)->ShardInfos();
-  const tsss::shard::ShardMap& map = (*engine)->shard_map();
-
-  const std::string format = flags.Get("format", "text");
   std::string rendered;
   char line[256];
-  if (format == "text") {
+  if (!json) {
     std::snprintf(line, sizeof(line),
                   "INSPECT %s (sharded)\nshard map: %u shards, %s "
                   "partitioning, %llu series, %llu indexed windows\n\n",
-                  index_dir.c_str(), map.num_shards, SchemeName(map.scheme),
-                  static_cast<unsigned long long>((*engine)->total_series()),
+                  index.dir.c_str(), map.num_shards, SchemeName(map.scheme),
+                  static_cast<unsigned long long>(engine.total_series()),
                   static_cast<unsigned long long>(
-                      (*engine)->num_indexed_windows()));
+                      engine.num_indexed_windows()));
     rendered += line;
     std::snprintf(line, sizeof(line), "%-8s %10s %10s %8s %10s\n", "shard",
                   "series", "windows", "height", "pool-hit%");
@@ -748,92 +808,61 @@ int CmdInspectSharded(const Flags& flags, const std::string& index_dir) {
                     info.tree_height, 100.0 * info.pool_hit_rate);
       rendered += line;
     }
-  } else if (format == "json") {
+    return rendered;
+  }
+  std::snprintf(line, sizeof(line),
+                "{\"schema_version\":1,\"report\":\"inspect_sharded\","
+                "\"shard_map\":{\"shards\":%u,\"scheme\":\"%s\","
+                "\"series\":%llu,\"indexed_windows\":%llu},\"shards\":[",
+                map.num_shards, SchemeName(map.scheme),
+                static_cast<unsigned long long>(engine.total_series()),
+                static_cast<unsigned long long>(engine.num_indexed_windows()));
+  rendered += line;
+  for (std::size_t i = 0; i < infos.size(); ++i) {
+    const tsss::shard::ShardInfo& info = infos[i];
     std::snprintf(line, sizeof(line),
-                  "{\"schema_version\":1,\"report\":\"inspect_sharded\","
-                  "\"shard_map\":{\"shards\":%u,\"scheme\":\"%s\","
-                  "\"series\":%llu,\"indexed_windows\":%llu},\"shards\":[",
-                  map.num_shards, SchemeName(map.scheme),
-                  static_cast<unsigned long long>((*engine)->total_series()),
-                  static_cast<unsigned long long>(
-                      (*engine)->num_indexed_windows()));
+                  "%s{\"shard\":%u,\"series\":%llu,"
+                  "\"indexed_windows\":%llu,\"tree_height\":%zu,"
+                  "\"pool_hit_ratio\":%.6g}",
+                  i > 0 ? "," : "", info.shard,
+                  static_cast<unsigned long long>(info.series),
+                  static_cast<unsigned long long>(info.indexed_windows),
+                  info.tree_height, info.pool_hit_rate);
     rendered += line;
-    for (std::size_t i = 0; i < infos.size(); ++i) {
-      const tsss::shard::ShardInfo& info = infos[i];
-      std::snprintf(line, sizeof(line),
-                    "%s{\"shard\":%u,\"series\":%llu,"
-                    "\"indexed_windows\":%llu,\"tree_height\":%zu,"
-                    "\"pool_hit_ratio\":%.6g}",
-                    i > 0 ? "," : "", info.shard,
-                    static_cast<unsigned long long>(info.series),
-                    static_cast<unsigned long long>(info.indexed_windows),
-                    info.tree_height, info.pool_hit_rate);
-      rendered += line;
-    }
-    rendered += "]}\n";
-  } else {
-    std::fprintf(stderr, "inspect: unknown --format '%s'\n", format.c_str());
-    return 2;
   }
-
-  const std::string out = flags.Get("out", "");
-  if (!out.empty()) {
-    if (int rc = WriteFileOrFail(out, rendered); rc != 0) return rc;
-    std::printf("inspect report written to %s\n", out.c_str());
-  } else {
-    std::fputs(rendered.c_str(), stdout);
-  }
-  return MaybeDumpEventLog(flags);
+  rendered += "]}\n";
+  return rendered;
 }
 
-/// Renders the tree's structural profile and a buffer-pool access heatmap
-/// collected while a deterministic sample workload runs.
-int CmdInspect(const Flags& flags) {
-  const std::string index_dir = flags.Get("index", "");
-  if (index_dir.empty()) {
-    std::fprintf(stderr, "inspect: --index dir is required\n");
-    return 2;
-  }
-  if (IsShardedIndex(index_dir)) return CmdInspectSharded(flags, index_dir);
-  auto engine = tsss::core::SearchEngine::Open(index_dir);
-  if (!engine.ok()) return Fail(engine.status());
-
-  auto shape = (*engine)->tree().ComputeStructuralStats();
-  if (!shape.ok()) return Fail(shape.status());
+/// Single-engine inspect report: the tree's structural profile and a
+/// buffer-pool access heatmap collected while the sample workload runs.
+tsss::Result<std::string> RenderInspect(const OpenIndex& index,
+                                        std::size_t num_queries, double eps,
+                                        bool json) {
+  tsss::core::SearchEngine& engine = *index.single;
+  auto shape = engine.tree().ComputeStructuralStats();
+  if (!shape.ok()) return shape.status();
   tsss::index::RegisterStructuralGauges(*shape);
 
   // Map each node's first page to its level. Supernode continuation pages
   // are not first pages, so they (and any non-index pages sharing the pool)
   // land in the "unclassified" bucket below.
   std::map<tsss::storage::PageId, std::size_t> page_level;
-  Status visited = (*engine)->tree().VisitNodes(
+  Status visited = engine.tree().VisitNodes(
       [&page_level](const tsss::index::Node& node,
                     tsss::storage::PageId page) {
         page_level[page] = node.level;
       });
-  if (!visited.ok()) return Fail(visited);
+  if (!visited.ok()) return visited;
 
   // Profile a sample workload. Cold-cache mode would clear the pool (and the
   // hit/miss split) between queries, so switch it off for the heatmap.
-  (*engine)->set_cold_cache_per_query(false);
-  (*engine)->pool().EnableAccessProfile(true);
-  const std::size_t num_queries = flags.GetSize("queries", 25);
-  const double eps = flags.GetDouble("eps", 0.5);
-  const std::size_t n = (*engine)->config().window;
-  const std::size_t num_series = (*engine)->dataset().size();
-  if (num_series == 0) return Fail(Status::FailedPrecondition("empty index"));
-  for (std::size_t i = 0; i < num_queries; ++i) {
-    const auto series = static_cast<tsss::storage::SeriesId>(i % num_series);
-    auto values = (*engine)->dataset().Values(series);
-    if (!values.ok()) return Fail(values.status());
-    if (values->size() < n) continue;
-    const std::size_t offset = (i * 37) % (values->size() - n + 1);
-    auto matches = (*engine)->RangeQuery(values->subspan(offset, n), eps, {});
-    if (!matches.ok()) return Fail(matches.status());
-  }
-  (*engine)->pool().EnableAccessProfile(false);
+  engine.set_cold_cache_per_query(false);
+  engine.pool().EnableAccessProfile(true);
+  if (Status s = RunSampleRange(index, num_queries, eps); !s.ok()) return s;
+  engine.pool().EnableAccessProfile(false);
   const std::vector<tsss::storage::PageAccessStats> profile =
-      (*engine)->pool().AccessProfile();
+      engine.pool().AccessProfile();
 
   std::vector<PoolLevelRollup> by_level(shape->height);
   PoolLevelRollup unclassified;
@@ -851,14 +880,13 @@ int CmdInspect(const Flags& flags) {
   const std::size_t top_limit =
       profile.size() < std::size_t{10} ? profile.size() : std::size_t{10};
 
-  const std::string format = flags.Get("format", "text");
   std::string rendered;
-  if (format == "text") {
+  if (!json) {
     char line[256];
     std::snprintf(line, sizeof(line),
                   "INSPECT %s\ntree: height %zu, %zu nodes, %zu entries, "
                   "%zu supernode(s), depth uniform: %s\n\n",
-                  index_dir.c_str(), shape->height, shape->node_count,
+                  index.dir.c_str(), shape->height, shape->node_count,
                   shape->entry_count, shape->supernode_count,
                   shape->depth_uniform ? "yes" : "NO");
     rendered += line;
@@ -885,7 +913,7 @@ int CmdInspect(const Flags& flags) {
     std::snprintf(line, sizeof(line),
                   "\nbuffer pool heatmap (%zu queries, %zu profiled pages, "
                   "capacity %zu):\n%-12s %8s %10s %10s %10s\n",
-                  num_queries, profile.size(), (*engine)->pool().capacity(),
+                  num_queries, profile.size(), engine.pool().capacity(),
                   "level", "pages", "accesses", "misses", "evictions");
     rendered += line;
     for (std::size_t l = by_level.size(); l-- > 0;) {
@@ -929,7 +957,7 @@ int CmdInspect(const Flags& flags) {
         rendered += line;
       }
     }
-  } else if (format == "json") {
+  } else {
     char buf[192];
     rendered = "{\"schema_version\":1,\"report\":\"inspect\",\"tree\":{";
     std::snprintf(buf, sizeof(buf),
@@ -964,7 +992,7 @@ int CmdInspect(const Flags& flags) {
     std::snprintf(buf, sizeof(buf),
                   "]},\"pool\":{\"capacity\":%zu,\"profiled_pages\":%zu,"
                   "\"levels\":[",
-                  (*engine)->pool().capacity(), profile.size());
+                  engine.pool().capacity(), profile.size());
     rendered += buf;
     bool first = true;
     for (std::size_t l = 0; l < by_level.size(); ++l) {
@@ -1005,83 +1033,61 @@ int CmdInspect(const Flags& flags) {
       rendered += buf;
     }
     rendered += "]}}\n";
-  } else {
-    std::fprintf(stderr, "inspect: unknown --format '%s'\n", format.c_str());
-    return 2;
   }
+  return rendered;
 
-  const std::string out = flags.Get("out", "");
-  if (!out.empty()) {
-    if (int rc = WriteFileOrFail(out, rendered); rc != 0) return rc;
-    std::printf("inspect report written to %s\n", out.c_str());
-  } else {
-    std::fputs(rendered.c_str(), stdout);
+}
+
+int CmdInspect(const Flags& flags) {
+  OpenIndex index;
+  if (int rc = OpenIndexOrFail(flags, "inspect", &index); rc != 0) return rc;
+  const std::string format = flags.Get("format", "text");
+  if (format != "text" && format != "json") {
+    return UnknownFormat("inspect", format);
   }
+  const std::size_t num_queries = flags.GetSize("queries", 25);
+  const double eps = flags.GetDouble("eps", 0.5);
+  const bool json = format == "json";
+  tsss::Result<std::string> rendered = std::string();
+  if (index.sharded) {
+    rendered = RenderInspectSharded(index, num_queries, eps, json);
+  } else {
+    rendered = RenderInspect(index, num_queries, eps, json);
+  }
+  if (!rendered.ok()) return Fail(rendered.status());
+  if (int rc = EmitReport(flags, "inspect", *rendered); rc != 0) return rc;
   return MaybeDumpEventLog(flags);
 }
 
-/// Drives a small sample workload through a QueryService so the process-wide
-/// registry has live counters (including the service latency histogram and
-/// its p50/p90/p99 quantiles), then dumps it in Prometheus text and/or JSON.
+/// Drives a small sample workload through the serving path (a QueryService,
+/// or a sharded index's fan-out pool) so the process-wide registry has live
+/// counters (including the service latency histogram and its p50/p90/p99
+/// quantiles), then dumps it in Prometheus text and/or JSON.
 int CmdStats(const Flags& flags) {
   const std::string format = flags.Get("format", "both");
   if (format != "prometheus" && format != "json" && format != "both") {
-    std::fprintf(stderr, "stats: unknown --format '%s'\n", format.c_str());
-    return 2;
+    return UnknownFormat("stats", format);
   }
-  if (flags.Has("no-workload")) {
-    // Export whatever the process-wide registry already holds, without
-    // opening an index or running queries — e.g. after other commands in the
-    // same process, or to check the export formats against an empty registry.
-    const auto samples = tsss::obs::MetricsRegistry::Global().Snapshot();
-    if (format == "prometheus" || format == "both") {
-      std::fputs(tsss::obs::ExportPrometheus(samples).c_str(), stdout);
+  // --no-workload exports whatever the process-wide registry already holds,
+  // without opening an index or running queries — e.g. after other commands
+  // in the same process, or to check the export formats against an empty
+  // registry.
+  OpenIndex index;
+  if (!flags.Has("no-workload")) {
+    tsss::service::ServiceConfig service_config;
+    service_config.num_workers = flags.GetSize("workers", 2);
+    if (int rc = OpenIndexOrFail(flags, "stats", &index, &service_config);
+        rc != 0) {
+      return rc;
     }
-    if (format == "json" || format == "both") {
-      std::fputs(tsss::obs::ExportJson(samples).c_str(), stdout);
+    // Submitted closed-loop, so the queue never fills.
+    if (Status s = ServeSample(index, flags.GetSize("queries", 25),
+                               flags.GetDouble("eps", 0.5));
+        !s.ok()) {
+      return Fail(s);
     }
-    return MaybeDumpEventLog(flags);
+    if (index.service) index.service->Shutdown();  // drain before the snapshot
   }
-  const std::string index_dir = flags.Get("index", "");
-  if (index_dir.empty()) {
-    std::fprintf(stderr, "stats: --index dir is required\n");
-    return 2;
-  }
-  auto engine = tsss::core::SearchEngine::Open(index_dir);
-  if (!engine.ok()) return Fail(engine.status());
-
-  tsss::service::ServiceConfig service_config;
-  service_config.num_workers = flags.GetSize("workers", 2);
-  auto service =
-      tsss::service::QueryService::Create(engine->get(), service_config);
-  if (!service.ok()) return Fail(service.status());
-
-  const std::size_t num_queries = flags.GetSize("queries", 25);
-  const double eps = flags.GetDouble("eps", 0.5);
-  const std::size_t n = (*engine)->config().window;
-  const std::size_t num_series = (*engine)->dataset().size();
-  if (num_series == 0) return Fail(Status::FailedPrecondition("empty index"));
-
-  // Deterministic sample workload (windows of the indexed data itself),
-  // submitted closed-loop so the queue never fills.
-  for (std::size_t i = 0; i < num_queries; ++i) {
-    const auto series = static_cast<tsss::storage::SeriesId>(i % num_series);
-    auto values = (*engine)->dataset().Values(series);
-    if (!values.ok()) return Fail(values.status());
-    if (values->size() < n) continue;
-    const std::size_t offset = (i * 37) % (values->size() - n + 1);
-    tsss::service::QueryRequest request;
-    request.kind = tsss::service::QueryKind::kRange;
-    request.query.assign(
-        values->begin() + static_cast<std::ptrdiff_t>(offset),
-        values->begin() + static_cast<std::ptrdiff_t>(offset + n));
-    request.eps = eps;
-    auto future = (*service)->Submit(std::move(request));
-    if (!future.ok()) return Fail(future.status());
-    const tsss::service::QueryResponse response = future->get();
-    if (!response.status.ok()) return Fail(response.status);
-  }
-  (*service)->Shutdown();
 
   const auto samples = tsss::obs::MetricsRegistry::Global().Snapshot();
   if (format == "prometheus" || format == "both") {
@@ -1096,12 +1102,11 @@ int CmdStats(const Flags& flags) {
 /// Renders the /statusz body: the one-page operator view of a live serve
 /// process — build info, uptime, index/engine configuration, service
 /// counters, per-shard pool hit ratios and the flight recorder's state.
-std::string RenderStatusz(const std::string& index_dir, const char* mode,
-                          const tsss::core::EngineConfig& config,
-                          std::size_t workers,
-                          std::chrono::steady_clock::time_point started,
-                          const tsss::service::ServiceMetrics& m,
-                          const std::vector<double>& shard_hit_rates) {
+std::string RenderStatusz(const OpenIndex& index,
+                          std::chrono::steady_clock::time_point started) {
+  const tsss::core::EngineConfig& config = index.config();
+  const tsss::service::ServiceMetrics m = index.Metrics();
+  const std::vector<double> shard_hit_rates = index.PoolHitRates();
   char buf[512];
   std::string out = "tsss_cli serve\n\n";
   std::snprintf(buf, sizeof(buf), "build            : %s (%s)\n", __VERSION__,
@@ -1117,13 +1122,15 @@ std::string RenderStatusz(const std::string& index_dir, const char* mode,
           .count();
   std::snprintf(buf, sizeof(buf), "uptime_s         : %.1f\n", uptime);
   out += buf;
-  out += "index            : " + index_dir + "\n";
-  out += "mode             : " + std::string(mode) + "\n";
+  out += "index            : " + index.dir + "\n";
+  out += "mode             : " +
+         std::string(index.sharded ? "sharded" : "single") + "\n";
   std::snprintf(buf, sizeof(buf),
                 "window / stride  : %zu / %zu\n"
                 "sub-trail length : %zu\n"
                 "workers          : %zu\n",
-                config.window, config.stride, config.subtrail_len, workers);
+                config.window, config.stride, config.subtrail_len,
+                index.workers());
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "queue depth      : %zu\n"
@@ -1269,10 +1276,13 @@ int ServeUntilDone(const Flags& flags, tsss::obs::DebugServer& server) {
 /// arm the flight recorder and pre-drive a sample workload, then serve the
 /// debug endpoints until the duration elapses or the process is killed.
 int CmdServe(const Flags& flags) {
-  const std::string index_dir = flags.Get("index", "");
-  if (index_dir.empty()) {
-    std::fprintf(stderr, "serve: --index dir is required\n");
-    return 2;
+  const auto started = std::chrono::steady_clock::now();
+  tsss::service::ServiceConfig service_config;
+  service_config.num_workers = flags.GetSize("workers", 2);
+  OpenIndex index;
+  if (int rc = OpenIndexOrFail(flags, "serve", &index, &service_config);
+      rc != 0) {
+    return rc;
   }
   if (flags.Has("slow-ms")) {
     // --slow-ms 0 captures every completion (still rate-limited), which is
@@ -1283,98 +1293,23 @@ int CmdServe(const Flags& flags) {
   tsss::obs::DebugServer::Options options;
   options.port = static_cast<int>(flags.GetSize("port", 8080));
   options.bind_address = flags.Get("bind", "127.0.0.1");
-
-  const auto started = std::chrono::steady_clock::now();
-  const std::size_t sample = flags.GetSize("sample-queries", 0);
-  const double eps = flags.GetDouble("eps", 0.5);
-
-  if (IsShardedIndex(index_dir)) {
-    auto engine = tsss::shard::ShardedEngine::Open(index_dir,
-                                                   flags.GetSize("workers", 0));
-    if (!engine.ok()) return Fail(engine.status());
-    // The server is created after the engine so its destructor (Shutdown)
-    // runs first: no handler can observe a dying engine.
-    auto server = tsss::obs::DebugServer::Start(options);
-    if (!server.ok()) return Fail(server.status());
-
-    tsss::shard::ShardedEngine* raw = engine->get();
-    const std::size_t workers = flags.GetSize("workers", 0) != 0
-                                    ? flags.GetSize("workers", 0)
-                                    : raw->num_shards();
-    (*server)->RegisterHandler(
-        "/statusz", "text/plain", [raw, index_dir, workers, started] {
-          std::vector<double> rates;
-          for (const tsss::shard::ShardInfo& info : raw->ShardInfos()) {
-            rates.push_back(info.pool_hit_rate);
-          }
-          return RenderStatusz(index_dir, "sharded", raw->engine_config(),
-                               workers, started, raw->FanoutStats(), rates);
-        });
-    RegisterServeEndpoints(server->get(), &raw->rolling(), SloFromFlags(flags));
-
-    // Sample workload: windows of the indexed data, fanned out through the
-    // engine's internal service so cost attribution and the flight recorder
-    // see real completions.
-    const std::size_t num_series =
-        static_cast<std::size_t>(raw->total_series());
-    const std::size_t n = raw->engine_config().window;
-    for (std::size_t i = 0; i < sample && num_series > 0; ++i) {
-      const auto series = static_cast<tsss::storage::SeriesId>(i % num_series);
-      auto values = raw->SeriesValues(series);
-      if (!values.ok()) return Fail(values.status());
-      if (values->size() < n) continue;
-      const std::size_t offset = (i * 37) % (values->size() - n + 1);
-      const tsss::geom::Vec query(
-          values->begin() + static_cast<std::ptrdiff_t>(offset),
-          values->begin() + static_cast<std::ptrdiff_t>(offset + n));
-      if (auto matches = raw->RangeQuery(query, eps); !matches.ok()) {
-        return Fail(matches.status());
-      }
-    }
-    return ServeUntilDone(flags, **server);
-  }
-
-  auto engine = tsss::core::SearchEngine::Open(index_dir);
-  if (!engine.ok()) return Fail(engine.status());
-  tsss::service::ServiceConfig service_config;
-  service_config.num_workers = flags.GetSize("workers", 2);
-  auto service =
-      tsss::service::QueryService::Create(engine->get(), service_config);
-  if (!service.ok()) return Fail(service.status());
+  // The server is created after the index so its destructor (Shutdown)
+  // runs first: no handler can observe a dying engine.
   auto server = tsss::obs::DebugServer::Start(options);
   if (!server.ok()) return Fail(server.status());
+  (*server)->RegisterHandler("/statusz", "text/plain", [&index, started] {
+    return RenderStatusz(index, started);
+  });
+  RegisterServeEndpoints(server->get(), &index.rolling(), SloFromFlags(flags));
 
-  tsss::core::SearchEngine* raw_engine = engine->get();
-  tsss::service::QueryService* raw_service = service->get();
-  (*server)->RegisterHandler(
-      "/statusz", "text/plain",
-      [raw_engine, raw_service, index_dir, started] {
-        const tsss::service::ServiceMetrics m = raw_service->Stats();
-        return RenderStatusz(index_dir, "single", raw_engine->config(),
-                             raw_service->config().num_workers, started, m,
-                             {m.pool_hit_rate});
-      });
-  RegisterServeEndpoints(server->get(), &raw_service->rolling(),
-                         SloFromFlags(flags));
-
-  const std::size_t num_series = raw_engine->dataset().size();
-  const std::size_t n = raw_engine->config().window;
-  for (std::size_t i = 0; i < sample && num_series > 0; ++i) {
-    const auto series = static_cast<tsss::storage::SeriesId>(i % num_series);
-    auto values = raw_engine->dataset().Values(series);
-    if (!values.ok()) return Fail(values.status());
-    if (values->size() < n) continue;
-    const std::size_t offset = (i * 37) % (values->size() - n + 1);
-    tsss::service::QueryRequest request;
-    request.kind = tsss::service::QueryKind::kRange;
-    request.query.assign(values->begin() + static_cast<std::ptrdiff_t>(offset),
-                         values->begin() +
-                             static_cast<std::ptrdiff_t>(offset + n));
-    request.eps = eps;
-    auto future = raw_service->Submit(std::move(request));
-    if (!future.ok()) return Fail(future.status());
-    const tsss::service::QueryResponse response = future->get();
-    if (!response.status.ok()) return Fail(response.status);
+  // Sample workload: windows of the indexed data, served like live traffic
+  // so cost attribution and the flight recorder see real completions.
+  if (index.num_series() > 0) {
+    if (Status s = ServeSample(index, flags.GetSize("sample-queries", 0),
+                               flags.GetDouble("eps", 0.5));
+        !s.ok()) {
+      return Fail(s);
+    }
   }
   return ServeUntilDone(flags, **server);
 }
@@ -1386,35 +1321,11 @@ int CmdServe(const Flags& flags) {
 /// sample count — that identity is checked here and by
 /// bench_schema_check --schema profile.
 int CmdProfile(const Flags& flags) {
-  const std::string index_dir = flags.Get("index", "");
-  if (index_dir.empty()) {
-    std::fprintf(stderr, "profile: --index dir is required\n");
-    return 2;
-  }
+  OpenIndex index;
+  if (int rc = OpenIndexOrFail(flags, "profile", &index); rc != 0) return rc;
   const double seconds = flags.GetDouble("seconds", 5.0);
   const std::size_t max_queries = flags.GetSize("queries", 0);
   const double eps = flags.GetDouble("eps", 0.5);
-
-  // One query runner over either engine flavor.
-  std::unique_ptr<tsss::core::SearchEngine> single;
-  std::unique_ptr<tsss::shard::ShardedEngine> sharded;
-  std::size_t num_series = 0;
-  std::size_t window = 0;
-  if (IsShardedIndex(index_dir)) {
-    auto engine = tsss::shard::ShardedEngine::Open(index_dir,
-                                                   flags.GetSize("workers", 0));
-    if (!engine.ok()) return Fail(engine.status());
-    sharded = std::move(engine).value();
-    num_series = static_cast<std::size_t>(sharded->total_series());
-    window = sharded->engine_config().window;
-  } else {
-    auto engine = tsss::core::SearchEngine::Open(index_dir);
-    if (!engine.ok()) return Fail(engine.status());
-    single = std::move(engine).value();
-    num_series = single->dataset().size();
-    window = single->config().window;
-  }
-  if (num_series == 0) return Fail(Status::FailedPrecondition("empty index"));
 
   tsss::obs::SamplingProfiler::Options options;
   options.hz = static_cast<int>(flags.GetSize("hz", 97));
@@ -1428,30 +1339,14 @@ int CmdProfile(const Flags& flags) {
   std::size_t queries = 0;
   while (std::chrono::steady_clock::now() < deadline &&
          (max_queries == 0 || queries < max_queries)) {
-    const auto series =
-        static_cast<tsss::storage::SeriesId>(queries % num_series);
-    auto values = [&]() -> tsss::Result<std::span<const double>> {
-      if (sharded != nullptr) return sharded->SeriesValues(series);
-      return single->dataset().Values(series);
-    }();
-    if (!values.ok()) return Fail(values.status());
-    if (values->size() < window) {
-      ++queries;
-      continue;
+    auto window = SampleWindow(index, queries++);
+    if (!window.ok()) return Fail(window.status());
+    if (window->empty()) continue;
+    if (auto matches = index.RangeQuery(*window, eps); !matches.ok()) {
+      return Fail(matches.status());
     }
-    const std::size_t offset = (queries * 37) % (values->size() - window + 1);
-    const tsss::geom::Vec query(
-        values->begin() + static_cast<std::ptrdiff_t>(offset),
-        values->begin() + static_cast<std::ptrdiff_t>(offset + window));
-    auto matches = [&]() -> tsss::Result<std::vector<tsss::core::Match>> {
-      if (sharded != nullptr) return sharded->RangeQuery(query, eps);
-      return single->RangeQuery(query, eps);
-    }();
-    if (!matches.ok()) return Fail(matches.status());
-    ++queries;
   }
   const tsss::obs::Profile profile = profiler.Stop();
-
   std::printf("profiled %zu queries for %.2fs at %d Hz: %llu samples"
               " (%llu dropped)\n\n",
               queries, profile.seconds, profile.hz,
@@ -1510,12 +1405,12 @@ double PercentileMs(std::vector<double>* latencies_ms, double q) {
   return (*latencies_ms)[rank];
 }
 
-/// One serve-bench run, shared between the single-engine and sharded paths.
+/// One serve-bench run, single-engine or sharded.
 struct ServeBenchStats {
   std::size_t shards = 1;
   std::size_t workers = 0;
   std::size_t clients = 0;
-  std::size_t queries = 0;  ///< logical queries completed
+  std::size_t queries = 0;  ///< logical queries completed OK
   double elapsed = 0.0;
   double client_p50_ms = 0.0;
   double client_p99_ms = 0.0;
@@ -1606,178 +1501,76 @@ int MaybeWriteServeBenchJson(const Flags& flags, const ServeBenchStats& r,
   return 0;
 }
 
-/// Sharded serve-bench: client threads drive range queries straight into the
-/// ShardedEngine, whose internal fan-out pool (sized by --workers) is the
-/// serving path being measured.
-int CmdServeBenchSharded(const Flags& flags, const std::string& index_dir) {
-  auto engine = tsss::shard::ShardedEngine::Open(
-      index_dir, flags.GetSize("workers", 0));
-  if (!engine.ok()) return Fail(engine.status());
-  const std::size_t requested_shards = flags.GetSize("shards", 0);
-  if (requested_shards != 0 && requested_shards != (*engine)->num_shards()) {
-    std::fprintf(stderr, "serve-bench: index has %u shards, not %zu\n",
-                 (*engine)->num_shards(), requested_shards);
-    return 2;
-  }
-
-  const std::size_t num_queries = flags.GetSize("queries", 200);
-  const std::size_t clients = flags.GetSize("clients", 8);
-  const double eps = flags.GetDouble("eps", 0.5);
-  const std::size_t n = (*engine)->engine_config().window;
-  const std::size_t num_series =
-      static_cast<std::size_t>((*engine)->total_series());
-  if (num_series == 0) return Fail(Status::FailedPrecondition("empty index"));
-
-  // Deterministic workload: stride through the dataset's own windows.
-  std::vector<tsss::geom::Vec> workload;
-  workload.reserve(num_queries);
-  for (std::size_t i = 0; i < num_queries; ++i) {
-    const auto series = static_cast<tsss::storage::SeriesId>(i % num_series);
-    auto values = (*engine)->SeriesValues(series);
-    if (!values.ok()) return Fail(values.status());
-    if (values->size() < n) continue;
-    const std::size_t offset = (i * 37) % (values->size() - n + 1);
-    workload.emplace_back(
-        values->begin() + static_cast<std::ptrdiff_t>(offset),
-        values->begin() + static_cast<std::ptrdiff_t>(offset + n));
-  }
-
-  std::vector<std::vector<double>> latencies_ms(clients);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> client_threads;
-  client_threads.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c) {
-    client_threads.emplace_back([&, c] {
-      for (std::size_t i = c; i < workload.size(); i += clients) {
-        const auto begin = std::chrono::steady_clock::now();
-        auto matches = (*engine)->RangeQuery(workload[i], eps);
-        if (!matches.ok()) {
-          std::fprintf(stderr, "query failed: %s\n",
-                       matches.status().ToString().c_str());
-          return;
-        }
-        latencies_ms[c].push_back(
-            1e3 * std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - begin)
-                      .count());
-      }
-    });
-  }
-  for (std::thread& t : client_threads) t.join();
-
-  ServeBenchStats r;
-  r.elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  r.shards = (*engine)->num_shards();
-  r.workers = flags.GetSize("workers", 0);
-  if (r.workers == 0) r.workers = r.shards;
-  r.clients = clients;
-  r.queries = workload.size();
-  r.metrics = (*engine)->FanoutStats();
-  std::vector<double> all_ms;
-  for (const auto& per_client : latencies_ms) {
-    all_ms.insert(all_ms.end(), per_client.begin(), per_client.end());
-  }
-  r.client_p50_ms = PercentileMs(&all_ms, 0.50);
-  r.client_p99_ms = PercentileMs(&all_ms, 0.99);
-  for (const tsss::shard::ShardInfo& info : (*engine)->ShardInfos()) {
-    r.shard_hit_ratio.push_back(info.pool_hit_rate);
-  }
-  r.series = num_series;
-  if (auto first = (*engine)->SeriesValues(0); first.ok()) {
-    r.values_per_series = first->size();
-  }
-
-  PrintServeBench(r);
-  if (int rc = MaybeWriteServeBenchJson(flags, r, eps); rc != 0) return rc;
-  return MaybeDumpEventLog(flags);
-}
-
-/// Drives the index through QueryService from several client threads and
-/// prints the resulting ServiceMetrics table. Queries are windows sampled
-/// from the indexed data itself, so every query does representative work.
+/// Drives the index from several client threads through its serving path
+/// (a QueryService, or a sharded index's fan-out pool sized by --workers)
+/// and prints the resulting ServiceMetrics table. Queries are windows
+/// sampled from the indexed data itself, so every query does representative
+/// work. Only OK completions count as served queries and latency samples.
 int CmdServeBench(const Flags& flags) {
-  const std::string index_dir = flags.Get("index", "");
-  if (index_dir.empty()) {
-    std::fprintf(stderr, "serve-bench: --index dir is required\n");
-    return 2;
-  }
-  if (IsShardedIndex(index_dir)) return CmdServeBenchSharded(flags, index_dir);
-  if (flags.GetSize("shards", 1) > 1) {
-    std::fprintf(stderr,
-                 "serve-bench: '%s' is a single-engine index; build it with "
-                 "--shards N first\n",
-                 index_dir.c_str());
-    return 2;
-  }
-  auto engine = tsss::core::SearchEngine::Open(index_dir);
-  if (!engine.ok()) return Fail(engine.status());
-
   tsss::service::ServiceConfig service_config;
   service_config.num_workers = flags.GetSize("workers", 4);
   service_config.queue_capacity = flags.GetSize("queue", 64);
   service_config.default_timeout =
       std::chrono::milliseconds(flags.GetSize("timeout-ms", 0));
-  auto service =
-      tsss::service::QueryService::Create(engine->get(), service_config);
-  if (!service.ok()) return Fail(service.status());
+  OpenIndex index;
+  if (int rc = OpenIndexOrFail(flags, "serve-bench", &index, &service_config);
+      rc != 0) {
+    return rc;
+  }
+  const std::size_t requested_shards = flags.GetSize("shards", 0);
+  if (requested_shards != 0 && requested_shards != index.num_shards()) {
+    if (index.sharded) {
+      std::fprintf(stderr, "serve-bench: index has %u shards, not %zu\n",
+                   index.num_shards(), requested_shards);
+    } else {
+      std::fprintf(stderr,
+                   "serve-bench: '%s' is a single-engine index; build it with "
+                   "--shards N first\n",
+                   index.dir.c_str());
+    }
+    return 2;
+  }
 
   const std::size_t num_queries = flags.GetSize("queries", 200);
   const std::size_t clients =
-      flags.GetSize("clients", 2 * service_config.num_workers);
+      flags.GetSize("clients", index.sharded ? 8 : 2 * index.workers());
   const double eps = flags.GetDouble("eps", 0.5);
-  const std::size_t n = (*engine)->config().window;
-  const std::size_t num_series = (*engine)->dataset().size();
-  if (num_series == 0) return Fail(Status::FailedPrecondition("empty index"));
-
-  // Deterministic workload: stride through the dataset's own windows.
-  std::vector<tsss::service::QueryRequest> workload;
+  std::vector<tsss::geom::Vec> workload;
   workload.reserve(num_queries);
-  for (std::size_t i = 0; i < num_queries; ++i) {
-    const auto series =
-        static_cast<tsss::storage::SeriesId>(i % num_series);
-    auto values = (*engine)->dataset().Values(series);
-    if (!values.ok()) return Fail(values.status());
-    if (values->size() < n) continue;
-    const std::size_t offset = (i * 37) % (values->size() - n + 1);
-    tsss::service::QueryRequest request;
-    request.kind = tsss::service::QueryKind::kRange;
-    request.query.assign(
-        values->begin() + static_cast<std::ptrdiff_t>(offset),
-        values->begin() + static_cast<std::ptrdiff_t>(offset + n));
-    request.eps = eps;
-    workload.push_back(std::move(request));
+  if (Status s = ForEachSample(index, num_queries,
+                               [&workload](std::span<const double> window) {
+                                 workload.emplace_back(window.begin(),
+                                                       window.end());
+                                 return Status::OK();
+                               });
+      !s.ok()) {
+    return Fail(s);
   }
 
+  // A deadline expiry is an expected outcome under --timeout-ms; any other
+  // failed query fails the run.
+  const bool deadlines = flags.GetSize("timeout-ms", 0) > 0;
   std::vector<std::vector<double>> latencies_ms(clients);
+  std::vector<std::size_t> failed(clients, 0);
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> client_threads;
   client_threads.reserve(clients);
   for (std::size_t c = 0; c < clients; ++c) {
     client_threads.emplace_back([&, c] {
-      // Closed loop: each client walks its slice of the workload, retrying
-      // on queue-full rejections.
+      // Closed loop: each client walks its slice of the workload.
       for (std::size_t i = c; i < workload.size(); i += clients) {
         const auto begin = std::chrono::steady_clock::now();
-        for (;;) {
-          auto future = (*service)->Submit(workload[i]);
-          if (future.ok()) {
-            (void)future->get();
-            break;
-          }
-          if (future.status().code() !=
-              tsss::StatusCode::kResourceExhausted) {
-            std::fprintf(stderr, "submit failed: %s\n",
-                         future.status().ToString().c_str());
-            return;
-          }
-          std::this_thread::yield();
+        const Status s = index.Serve(workload[i], eps);
+        if (s.ok()) {
+          latencies_ms[c].push_back(
+              1e3 * std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - begin)
+                        .count());
+        } else if (!deadlines ||
+                   s.code() != tsss::StatusCode::kDeadlineExceeded) {
+          std::fprintf(stderr, "query failed: %s\n", s.ToString().c_str());
+          ++failed[c];
         }
-        latencies_ms[c].push_back(
-            1e3 * std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - begin)
-                      .count());
       }
     });
   }
@@ -1787,24 +1580,29 @@ int CmdServeBench(const Flags& flags) {
   r.elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  r.shards = 1;
-  r.workers = service_config.num_workers;
+  r.shards = index.num_shards();
+  r.workers = index.workers();
   r.clients = clients;
-  r.queries = workload.size();
-  r.metrics = (*service)->Stats();
+  r.metrics = index.Metrics();
   std::vector<double> all_ms;
   for (const auto& per_client : latencies_ms) {
     all_ms.insert(all_ms.end(), per_client.begin(), per_client.end());
   }
+  r.queries = all_ms.size();
   r.client_p50_ms = PercentileMs(&all_ms, 0.50);
   r.client_p99_ms = PercentileMs(&all_ms, 0.99);
-  r.shard_hit_ratio.push_back(r.metrics.pool_hit_rate);
-  r.series = num_series;
-  r.values_per_series = (*engine)->dataset().total_values() / num_series;
+  r.shard_hit_ratio = index.PoolHitRates();
+  r.series = index.num_series();
+  r.values_per_series = index.total_values() / r.series;
 
   PrintServeBench(r);
   if (int rc = MaybeWriteServeBenchJson(flags, r, eps); rc != 0) return rc;
-  return MaybeDumpEventLog(flags);
+  if (int rc = MaybeDumpEventLog(flags); rc != 0) return rc;
+  std::size_t failures = 0;
+  for (const std::size_t f : failed) failures += f;
+  if (failures == 0) return 0;
+  std::fprintf(stderr, "serve-bench: %zu queries failed\n", failures);
+  return 1;
 }
 
 }  // namespace
