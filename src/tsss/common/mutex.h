@@ -31,11 +31,6 @@ class TSSS_CAPABILITY("mutex") Mutex {
 
   void Lock() TSSS_ACQUIRE() { mu_.lock(); }
   void Unlock() TSSS_RELEASE() { mu_.unlock(); }
-  [[nodiscard]] bool TryLock() TSSS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  /// For checked documentation of "must hold" in code the analysis cannot
-  /// follow (e.g. across a condition-variable wait).
-  void AssertHeld() TSSS_ASSERT_CAPABILITY(this) {}
 
  private:
   friend class CondVar;

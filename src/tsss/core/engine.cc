@@ -16,6 +16,7 @@
 #include "tsss/obs/metrics.h"
 #include "tsss/obs/trace.h"
 #include "tsss/seq/window.h"
+#include "tsss/storage/file_page_store.h"
 #include "tsss/storage/query_counters.h"
 
 namespace tsss::core {
@@ -153,6 +154,32 @@ void SearchEngine::QueryScope::Finish(double eps, std::uint64_t k,
 
 SearchEngine::SearchEngine(const EngineConfig& config) : config_(config) {}
 
+Result<std::unique_ptr<SearchEngine>> SearchEngine::Assemble(
+    const EngineConfig& config, StoreFactory make_store,
+    const TreeFactory& make_tree) {
+  Result<std::unique_ptr<reduce::Reducer>> reducer =
+      reduce::MakeReducer(config.reducer, config.window, config.reduced_dim);
+  if (!reducer.ok()) return reducer.status();
+  Result<std::unique_ptr<storage::PageStore>> store =
+      make_store(config.storage_dir);
+  if (!store.ok()) return store.status();
+
+  auto engine = std::unique_ptr<SearchEngine>(new SearchEngine(config));
+  engine->reducer_ = std::move(reducer).value();
+  engine->page_store_ = std::move(store).value();
+  engine->pool_ = std::make_unique<storage::BufferPool>(
+      engine->page_store_.get(), config.buffer_pool_pages);
+
+  index::RTreeConfig tree_config = config.tree;
+  tree_config.dim = engine->reducer_->output_dim();
+  tree_config.box_leaves = config.subtrail_len > 0;
+  Result<std::unique_ptr<index::RTree>> tree =
+      make_tree(engine->pool_.get(), tree_config);
+  if (!tree.ok()) return tree.status();
+  engine->tree_ = std::move(tree).value();
+  return engine;
+}
+
 Result<std::unique_ptr<SearchEngine>> SearchEngine::Create(
     const EngineConfig& config) {
   if (config.window < 2) {
@@ -161,38 +188,19 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Create(
   if (config.stride == 0) {
     return Status::InvalidArgument("stride must be positive");
   }
-  Result<std::unique_ptr<reduce::Reducer>> reducer =
-      reduce::MakeReducer(config.reducer, config.window, config.reduced_dim);
-  if (!reducer.ok()) return reducer.status();
-
-  auto engine = std::unique_ptr<SearchEngine>(new SearchEngine(config));
-  engine->reducer_ = std::move(reducer).value();
-  if (config.storage_dir.empty()) {
-    engine->page_store_ = std::make_unique<storage::MemPageStore>();
-  } else {
-    std::error_code ec;
-    std::filesystem::create_directories(config.storage_dir, ec);
-    if (ec) {
-      return Status::IoError("cannot create storage dir '" +
-                             config.storage_dir + "': " + ec.message());
-    }
-    Result<std::unique_ptr<storage::FilePageStore>> file_store =
-        storage::FilePageStore::Create(config.storage_dir + "/pages.tsss");
-    if (!file_store.ok()) return file_store.status();
-    engine->file_store_ = file_store->get();
-    engine->page_store_ = std::move(file_store).value();
-  }
-  engine->pool_ = std::make_unique<storage::BufferPool>(
-      engine->page_store_.get(), config.buffer_pool_pages);
-
-  index::RTreeConfig tree_config = config.tree;
-  tree_config.dim = engine->reducer_->output_dim();
-  tree_config.box_leaves = config.subtrail_len > 0;
-  Result<std::unique_ptr<index::RTree>> tree =
-      index::RTree::Create(engine->pool_.get(), tree_config);
-  if (!tree.ok()) return tree.status();
-  engine->tree_ = std::move(tree).value();
-  return engine;
+  return Assemble(
+      config,
+      [](const std::string& dir) -> Result<std::unique_ptr<storage::PageStore>> {
+        if (dir.empty()) return {std::make_unique<storage::MemPageStore>()};
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+        if (ec) {
+          return Status::IoError("cannot create storage dir '" + dir +
+                                 "': " + ec.message());
+        }
+        return storage::FilePageStore::Create(dir + "/pages.tsss");
+      },
+      index::RTree::Create);
 }
 
 geom::Vec SearchEngine::ReducedPoint(std::span<const double> window) const {

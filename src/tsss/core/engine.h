@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <iosfwd>
 #include <limits>
 #include <memory>
@@ -23,7 +24,6 @@
 #include "tsss/seq/dataset.h"
 #include "tsss/seq/time_series.h"
 #include "tsss/storage/buffer_pool.h"
-#include "tsss/storage/file_page_store.h"
 #include "tsss/storage/page_store.h"
 #include "tsss/storage/query_counters.h"
 
@@ -282,6 +282,19 @@ class SearchEngine {
  private:
   explicit SearchEngine(const EngineConfig& config);
 
+  using StoreFactory =
+      Result<std::unique_ptr<storage::PageStore>> (*)(const std::string& dir);
+  using TreeFactory = std::function<Result<std::unique_ptr<index::RTree>>(
+      storage::BufferPool*, const index::RTreeConfig&)>;
+
+  /// The assembly step Create and Open share: the reducer, then the page
+  /// store for config.storage_dir (so a bad configuration touches no file),
+  /// the buffer pool, and the tree, whose configuration takes tree.dim from
+  /// the reducer and box_leaves from subtrail_len.
+  static Result<std::unique_ptr<SearchEngine>> Assemble(
+      const EngineConfig& config, StoreFactory make_store,
+      const TreeFactory& make_tree);
+
   /// Snapshot of one finished query, the raw material of ExplainLast().
   struct LastQuery {
     const char* kind = "range";  ///< "range" | "knn" | "long_range"
@@ -356,8 +369,6 @@ class SearchEngine {
   std::unique_ptr<reduce::Reducer> reducer_;
   seq::Dataset dataset_;
   std::unique_ptr<storage::PageStore> page_store_;
-  /// Non-null alias of page_store_ when file-backed (for Sync()).
-  storage::FilePageStore* file_store_ = nullptr;
   std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<index::RTree> tree_;
   std::size_t indexed_windows_ = 0;

@@ -12,6 +12,7 @@
 
 #include "tsss/core/engine.h"
 #include "tsss/seq/dataset_io.h"
+#include "tsss/storage/file_page_store.h"
 
 namespace tsss::core {
 namespace {
@@ -150,13 +151,13 @@ Result<EngineMeta> ParseEngineMeta(std::istream& in) {
 }
 
 Status SearchEngine::Checkpoint() {
-  if (config_.storage_dir.empty() || file_store_ == nullptr) {
+  if (config_.storage_dir.empty()) {
     return Status::FailedPrecondition(
         "Checkpoint requires an engine created with a storage_dir");
   }
   Status s = pool_->FlushAll();
   if (!s.ok()) return s;
-  s = file_store_->Sync();
+  s = page_store_->Sync();
   if (!s.ok()) return s;
   s = seq::SaveDataset(DatasetPath(config_.storage_dir), dataset_);
   if (!s.ok()) return s;
@@ -202,34 +203,19 @@ Result<std::unique_ptr<SearchEngine>> SearchEngine::Open(
 
   EngineConfig config = meta->config;
   config.storage_dir = storage_dir;
+  Result<std::unique_ptr<SearchEngine>> engine = Assemble(
+      config,
+      [](const std::string& dir) {
+        return storage::FilePageStore::Open(dir + "/pages.tsss");
+      },
+      [&meta](storage::BufferPool* pool, const index::RTreeConfig& tree) {
+        return index::RTree::Attach(pool, tree, meta->root, meta->height,
+                                    meta->tree_size);
+      });
+  if (!engine.ok()) return engine.status();
+  (*engine)->indexed_windows_ = meta->indexed_windows;
 
-  Result<std::unique_ptr<reduce::Reducer>> reducer =
-      reduce::MakeReducer(config.reducer, config.window, config.reduced_dim);
-  if (!reducer.ok()) return reducer.status();
-
-  auto engine = std::unique_ptr<SearchEngine>(new SearchEngine(config));
-  engine->reducer_ = std::move(reducer).value();
-
-  Result<std::unique_ptr<storage::FilePageStore>> file_store =
-      storage::FilePageStore::Open(storage_dir + "/pages.tsss");
-  if (!file_store.ok()) return file_store.status();
-  engine->file_store_ = file_store->get();
-  engine->page_store_ = std::move(file_store).value();
-  engine->pool_ = std::make_unique<storage::BufferPool>(
-      engine->page_store_.get(), config.buffer_pool_pages);
-
-  index::RTreeConfig tree_config = config.tree;
-  tree_config.dim = engine->reducer_->output_dim();
-  tree_config.box_leaves = config.subtrail_len > 0;  // same derivation as Create
-  Result<std::unique_ptr<index::RTree>> tree =
-      index::RTree::Attach(engine->pool_.get(), tree_config, meta->root,
-                           meta->height, meta->tree_size);
-  if (!tree.ok()) return tree.status();
-  engine->tree_ = std::move(tree).value();
-
-  engine->indexed_windows_ = meta->indexed_windows;
-
-  Status s = seq::LoadDataset(DatasetPath(storage_dir), &engine->dataset_);
+  Status s = seq::LoadDataset(DatasetPath(storage_dir), &(*engine)->dataset_);
   if (!s.ok()) return s;
   return engine;
 }

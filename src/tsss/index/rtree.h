@@ -254,9 +254,6 @@ class RTree {
   /// engine's consistency checks, not on query hot paths.
   Status ValidateInvariants();
 
-  /// Back-compat alias for ValidateInvariants().
-  Status CheckInvariants() { return ValidateInvariants(); }
-
   /// Walks the whole tree and gathers shape statistics.
   Result<TreeStats> ComputeStats() const;
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "tsss/obs/json.h"
 #include "tsss/obs/trace.h"
 
 namespace tsss::obs {
@@ -43,15 +44,6 @@ void AppendU64(std::string* out, const char* key, std::uint64_t v,
                 static_cast<unsigned long long>(v));
   *first = false;
   *out += buf;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace
@@ -246,9 +238,9 @@ std::string RenderExplainJson(const ExplainReport& r) {
   std::snprintf(buf, sizeof(buf),
                 "\"query\":{\"kind\":\"%s\",\"eps\":%.9g,\"k\":%llu,"
                 "\"prune\":\"%s\",\"elapsed_us\":%llu},",
-                EscapeJson(r.kind).c_str(), r.eps,
+                JsonEscape(r.kind).c_str(), r.eps,
                 static_cast<unsigned long long>(r.k),
-                EscapeJson(r.prune_strategy).c_str(),
+                JsonEscape(r.prune_strategy).c_str(),
                 static_cast<unsigned long long>(r.elapsed_us));
   out += buf;
 
@@ -313,7 +305,7 @@ std::string RenderExplainJson(const ExplainReport& r) {
     if (i > 0) out += ",";
     std::snprintf(buf, sizeof(buf),
                   "{\"name\":\"%s\",\"depth\":%d,\"dur_us\":%llu}",
-                  EscapeJson(r.phases[i].name).c_str(), r.phases[i].depth,
+                  JsonEscape(r.phases[i].name).c_str(), r.phases[i].depth,
                   static_cast<unsigned long long>(r.phases[i].dur_us));
     out += buf;
   }

@@ -1,36 +1,12 @@
 #include "tsss/obs/flight_recorder.h"
 
-#include <cstdio>
 #include <utility>
+
+#include "tsss/obs/json.h"
 
 namespace tsss::obs {
 
 namespace {
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 /// Embeds an already-rendered JSON document as a nested value, trimming the
 /// trailing newline our renderers end documents with.
@@ -127,9 +103,9 @@ std::string FlightRecorder::DumpJson() const {
       first = false;
       out += "\n{\"id\":" + std::to_string(r.id);
       out += ",\"kind\":\"";
-      AppendEscaped(&out, r.kind);
+      out += JsonEscape(r.kind);
       out += "\",\"outcome\":\"";
-      AppendEscaped(&out, r.outcome);
+      out += JsonEscape(r.outcome);
       out += "\",\"latency_us\":" + std::to_string(r.latency_us);
       out += ",\"cost\":";
       AppendCost(&out, r.cost);

@@ -13,6 +13,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "tsss/obs/json.h"
 #include "tsss/obs/trace.h"
 
 namespace tsss::obs {
@@ -56,31 +57,6 @@ int WalkFrames(void* pc, void** fp, const void* stack_hint, void** frames,
     fp = reinterpret_cast<void**>(fp[0]);
   }
   return n;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-        break;
-    }
-  }
-  return out;
 }
 
 /// Best-effort name for one return address: demangled symbol via dladdr

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "tsss/obs/json.h"
+
 namespace tsss::obs {
 
 namespace {
@@ -12,31 +14,6 @@ thread_local QueryTrace* g_current_query_trace = nullptr;
 /// handler never runs a TLS guard or allocates (local-exec/initial-exec TLS;
 /// the library is linked statically into its binaries).
 thread_local PhaseStack g_phase_stack;
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-        break;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 

@@ -22,10 +22,6 @@
 
 namespace tsss::service {
 
-/// The histogram moved to the shared observability layer; the alias keeps
-/// service-side call sites and tests on their established spelling.
-using LatencyHistogram = obs::LatencyHistogram;
-
 /// Which SearchEngine entry point a request drives.
 enum class QueryKind {
   kRange,      ///< SearchEngine::RangeQuery (|query| == window)

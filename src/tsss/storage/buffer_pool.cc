@@ -198,11 +198,13 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
 }
 
 Result<PageGuard> BufferPool::New() {
+  Result<PageId> allocated = store_->Allocate();
+  if (!allocated.ok()) return allocated.status();
+  const PageId id = *allocated;
   ++metrics_.logical_reads;
   PoolCounters().logical_reads->Inc();
   if (labeled_logical_reads_ != nullptr) labeled_logical_reads_->Inc();
   CountQueryPoolRead(/*miss=*/false);
-  const PageId id = store_->Allocate();
   Shard& shard = ShardFor(id);
   MutexLock lock(shard.mu);
   auto frame = std::make_unique<Frame>();
@@ -345,18 +347,6 @@ void BufferPool::Unpin(Frame* frame) {
     ++metrics_.crc_failures;
     PoolCounters().crc_failures->Inc();
   }
-}
-
-std::size_t BufferPool::pinned_frames() const {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < num_shards_; ++i) {
-    Shard& shard = shards_[i];
-    MutexLock lock(shard.mu);
-    for (const auto& [id, frame] : shard.table) {
-      if (frame->pin_count.load(std::memory_order_relaxed) > 0) ++n;  // relaxed-ok: pin_count mutated under shard mutex
-    }
-  }
-  return n;
 }
 
 std::size_t BufferPool::dirty_frames() const {

@@ -159,9 +159,6 @@ class BufferPool {
   /// Meant to run at a quiescent point (no in-flight queries).
   Status AuditPins() const;
 
-  /// Number of frames currently pinned at least once.
-  std::size_t pinned_frames() const;
-
   /// Number of dirty (not yet written back) frames.
   std::size_t dirty_frames() const;
 

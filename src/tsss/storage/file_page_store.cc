@@ -1,6 +1,13 @@
 #include "tsss/storage/file_page_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 
 #include "tsss/common/crc32.h"
 #include "tsss/obs/metrics.h"
@@ -9,21 +16,117 @@ namespace tsss::storage {
 namespace {
 
 constexpr std::uint64_t kMetaMagic = 0x5453535350414745ull;  // "TSSSPAGE"
+constexpr std::uint64_t kMetaHeaderBytes = 3 * sizeof(std::uint64_t);
+constexpr std::uint64_t kMetaBytesPerPage =
+    sizeof(std::uint8_t) + sizeof(std::uint32_t);
 
 template <typename T>
-void PutScalar(std::ostream& os, T value) {
-  os.write(reinterpret_cast<const char*>(&value), sizeof(T));
+void PutScalar(std::string* out, T value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
 template <typename T>
-bool GetScalar(std::istream& is, T* value) {
-  is.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(is);
+bool GetScalar(const std::string& in, std::size_t* pos, T* value) {
+  if (in.size() - *pos < sizeof(T)) return false;
+  std::memcpy(value, in.data() + *pos, sizeof(T));
+  *pos += sizeof(T);
+  return true;
+}
+
+std::string ErrnoText() { return std::strerror(errno); }
+
+/// Moves all `len` bytes at `offset` with `io` (::pread or ::pwrite),
+/// resuming after a partial transfer or EINTR. Returns "" on success, else
+/// why the transfer stopped short.
+template <typename Io, typename Byte>
+std::string TransferAll(Io io, int fd, Byte* buf, std::size_t len,
+                        off_t offset) {
+  while (len > 0) {
+    const ssize_t n = io(fd, buf, len, offset);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return ErrnoText();
+    if (n == 0) return "unexpected end of file";
+    buf += n;
+    len -= static_cast<std::size_t>(n);
+    offset += n;
+  }
+  return "";
+}
+
+off_t PageOffset(PageId id) { return static_cast<off_t>(id) * kPageSize; }
+
+/// Reads the metadata sidecar and checks it against the page file behind
+/// `fd`. Every field is untrusted input.
+Status LoadMeta(const std::string& meta_path, int fd, std::vector<bool>* live,
+                std::vector<std::uint32_t>* crc) {
+  std::ifstream in(meta_path, std::ios::binary);
+  if (!in) {
+    return Status::IoError("cannot open metadata file '" + meta_path + "'");
+  }
+  const std::string meta((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+
+  // The declared capacity is checked against the metadata size BEFORE
+  // sizing any allocation by it, so a corrupt header cannot demand a
+  // multi-gigabyte resize.
+  std::size_t pos = 0;
+  std::uint64_t magic = 0;
+  std::uint64_t capacity = 0;
+  std::uint64_t live_count = 0;
+  if (!GetScalar(meta, &pos, &magic) || magic != kMetaMagic) {
+    return Status::Corruption("bad metadata magic in '" + meta_path + "'");
+  }
+  if (!GetScalar(meta, &pos, &capacity) ||
+      !GetScalar(meta, &pos, &live_count)) {
+    return Status::Corruption("truncated metadata header");
+  }
+  const std::uint64_t body_pages =
+      (meta.size() - kMetaHeaderBytes) / kMetaBytesPerPage;
+  if (capacity > body_pages) {
+    return Status::Corruption("metadata declares " + std::to_string(capacity) +
+                              " pages but the file only holds " +
+                              std::to_string(body_pages));
+  }
+  if (capacity > static_cast<std::uint64_t>(kInvalidPageId)) {
+    return Status::Corruption("metadata capacity " + std::to_string(capacity) +
+                              " exceeds the page-id space");
+  }
+  if (live_count > capacity) {
+    return Status::Corruption("metadata live count " +
+                              std::to_string(live_count) +
+                              " exceeds capacity " + std::to_string(capacity));
+  }
+  live->resize(capacity);
+  crc->resize(capacity);
+  std::uint64_t live_recount = 0;
+  for (std::uint64_t i = 0; i < capacity; ++i) {
+    std::uint8_t alive = 0;
+    if (!GetScalar(meta, &pos, &alive) || !GetScalar(meta, &pos, &(*crc)[i])) {
+      return Status::Corruption("truncated metadata body");
+    }
+    (*live)[i] = alive != 0;
+    if (alive != 0) ++live_recount;
+  }
+  if (live_recount != live_count) {
+    return Status::Corruption(
+        "metadata live count " + std::to_string(live_count) +
+        " does not match the " + std::to_string(live_recount) +
+        " pages marked live");
+  }
+
+  // The data file must hold `capacity` pages (capacity is bounded by the
+  // metadata size check above, so the product cannot overflow).
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    return Status::IoError("cannot stat page file: " + ErrnoText());
+  }
+  if (static_cast<std::uint64_t>(st.st_size) < capacity * kPageSize) {
+    return Status::Corruption("page file shorter than metadata capacity");
+  }
+  return Status::OK();
 }
 
 }  // namespace
-
-FilePageStore::FilePageStore(std::string path) : path_(std::move(path)) {}
 
 FilePageStore::~FilePageStore() {
   // A destructor cannot propagate, but a failed final Sync means the
@@ -36,205 +139,87 @@ FilePageStore::~FilePageStore() {
                     "metadata left stale)")
         ->Inc();
   }
+  ::close(fd_);
 }
 
-Result<std::unique_ptr<FilePageStore>> FilePageStore::Create(
+Result<std::unique_ptr<PageStore>> FilePageStore::Create(
     const std::string& path) {
-  auto store = std::unique_ptr<FilePageStore>(new FilePageStore(path));
-  {
-    MutexLock lock(store->mu_);
-    // Truncate/create the data file.
-    store->file_.open(path, std::ios::binary | std::ios::in | std::ios::out |
-                                std::ios::trunc);
-    if (!store->file_) {
-      return Status::IoError("cannot create page file '" + path + "'");
-    }
-  }
+  const int fd =
+      ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return Status::IoError("cannot create page file '" + path + "'");
+  std::unique_ptr<PageStore> store(new FilePageStore(path, fd, {}, {}));
   Status s = store->Sync();
   if (!s.ok()) return s;
   return store;
 }
 
-Result<std::unique_ptr<FilePageStore>> FilePageStore::Open(
+Result<std::unique_ptr<PageStore>> FilePageStore::Open(
     const std::string& path) {
-  auto store = std::unique_ptr<FilePageStore>(new FilePageStore(path));
-  MutexLock lock(store->mu_);
-  store->file_.open(path, std::ios::binary | std::ios::in | std::ios::out);
-  if (!store->file_) {
-    return Status::IoError("cannot open page file '" + path + "'");
+  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open page file '" + path + "'");
+  // The store is built only from a fully validated volume: its destructor
+  // syncs, which must never overwrite the metadata of a failed open.
+  std::vector<bool> live;
+  std::vector<std::uint32_t> crc;
+  Status s = LoadMeta(path + ".meta", fd, &live, &crc);
+  if (!s.ok()) {
+    ::close(fd);
+    return s;
   }
-
-  std::ifstream meta(store->MetaPath(), std::ios::binary);
-  if (!meta) {
-    return Status::IoError("cannot open metadata file '" + store->MetaPath() +
-                           "'");
-  }
-  // The declared capacity is untrusted input: validate it against the actual
-  // metadata file size BEFORE sizing any allocation by it, so a corrupt
-  // header cannot demand a multi-gigabyte resize (each page contributes
-  // exactly kMetaBytesPerPage bytes to the body).
-  meta.seekg(0, std::ios::end);
-  const auto meta_size = static_cast<std::uint64_t>(meta.tellg());
-  meta.seekg(0, std::ios::beg);
-  constexpr std::uint64_t kMetaHeaderBytes = 3 * sizeof(std::uint64_t);
-  constexpr std::uint64_t kMetaBytesPerPage =
-      sizeof(std::uint8_t) + sizeof(std::uint32_t);
-  std::uint64_t magic = 0;
-  std::uint64_t capacity = 0;
-  std::uint64_t live_count = 0;
-  if (!GetScalar(meta, &magic) || magic != kMetaMagic) {
-    return Status::Corruption("bad metadata magic in '" + store->MetaPath() + "'");
-  }
-  if (!GetScalar(meta, &capacity) || !GetScalar(meta, &live_count)) {
-    return Status::Corruption("truncated metadata header");
-  }
-  if (meta_size < kMetaHeaderBytes ||
-      capacity > (meta_size - kMetaHeaderBytes) / kMetaBytesPerPage) {
-    return Status::Corruption(
-        "metadata declares " + std::to_string(capacity) +
-        " pages but the file only holds " +
-        std::to_string((meta_size - kMetaHeaderBytes) / kMetaBytesPerPage));
-  }
-  if (capacity > static_cast<std::uint64_t>(kInvalidPageId)) {
-    return Status::Corruption("metadata capacity " + std::to_string(capacity) +
-                              " exceeds the page-id space");
-  }
-  if (live_count > capacity) {
-    return Status::Corruption("metadata live count " +
-                              std::to_string(live_count) +
-                              " exceeds capacity " + std::to_string(capacity));
-  }
-  store->live_.resize(capacity);
-  store->crc_.resize(capacity);
-  std::uint64_t live_recount = 0;
-  for (std::uint64_t i = 0; i < capacity; ++i) {
-    std::uint8_t alive = 0;
-    std::uint32_t crc = 0;
-    if (!GetScalar(meta, &alive) || !GetScalar(meta, &crc)) {
-      return Status::Corruption("truncated metadata body");
-    }
-    store->live_[i] = alive != 0;
-    store->crc_[i] = crc;
-    if (alive == 0) {
-      store->free_list_.push_back(static_cast<PageId>(i));
-    } else {
-      ++live_recount;
-    }
-  }
-  if (live_recount != live_count) {
-    return Status::Corruption(
-        "metadata live count " + std::to_string(live_count) +
-        " does not match the " + std::to_string(live_recount) +
-        " pages marked live");
-  }
-  store->live_count_ = live_count;
-
-  // Sanity: the data file must hold `capacity` pages (capacity is bounded by
-  // the metadata size check above, so the product cannot overflow).
-  store->file_.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(store->file_.tellg());
-  if (file_size < capacity * kPageSize) {
-    return Status::Corruption("page file shorter than metadata capacity");
-  }
-  return store;
+  return std::unique_ptr<PageStore>(
+      new FilePageStore(path, fd, std::move(live), std::move(crc)));
 }
 
-Status FilePageStore::CheckLive(PageId id) const {
-  if (id >= live_.size() || !live_[id]) {
-    return Status::NotFound("page " + std::to_string(id) + " is not live");
+Status FilePageStore::ReadPage(PageId id, Page* out) {
+  const std::string err = TransferAll(::pread, fd_, out->bytes.data(),
+                                      kPageSize, PageOffset(id));
+  if (!err.empty()) {
+    return Status::IoError("short read on page " + std::to_string(id) + ": " +
+                           err);
   }
-  return Status::OK();
-}
-
-PageId FilePageStore::Allocate() {
-  MutexLock lock(mu_);
-  PageId id;
-  const Page zero{};
-  if (!free_list_.empty()) {
-    id = free_list_.back();
-    free_list_.pop_back();
-    live_[id] = true;
-  } else {
-    id = static_cast<PageId>(live_.size());
-    live_.push_back(true);
-    crc_.push_back(0);
-  }
-  // Zero-fill on disk so recycled/extended pages read back deterministically.
-  file_.seekp(static_cast<std::streamoff>(id) * kPageSize);
-  file_.write(reinterpret_cast<const char*>(zero.bytes.data()), kPageSize);
-  crc_[id] = Crc32(zero.bytes.data(), kPageSize);
-  ++live_count_;
-  return id;
-}
-
-Status FilePageStore::Free(PageId id) {
-  MutexLock lock(mu_);
-  Status s = CheckLive(id);
-  if (!s.ok()) return s;
-  live_[id] = false;
-  free_list_.push_back(id);
-  --live_count_;
-  return Status::OK();
-}
-
-Status FilePageStore::Read(PageId id, Page* out) {
-  MutexLock lock(mu_);
-  Status s = CheckLive(id);
-  if (!s.ok()) return s;
-  ++metrics_.physical_reads;
-  file_.seekg(static_cast<std::streamoff>(id) * kPageSize);
-  file_.read(reinterpret_cast<char*>(out->bytes.data()), kPageSize);
-  if (!file_) {
-    file_.clear();
-    return Status::IoError("short read on page " + std::to_string(id));
-  }
-  const std::uint32_t crc = Crc32(out->bytes.data(), kPageSize);
-  if (crc != crc_[id]) {
+  if (Crc32(out->bytes.data(), kPageSize) != crc_[id]) {
     return Status::Corruption("checksum mismatch on page " + std::to_string(id));
   }
   return Status::OK();
 }
 
-Status FilePageStore::Write(PageId id, const Page& page) {
-  MutexLock lock(mu_);
-  Status s = CheckLive(id);
-  if (!s.ok()) return s;
-  ++metrics_.physical_writes;
-  file_.seekp(static_cast<std::streamoff>(id) * kPageSize);
-  file_.write(reinterpret_cast<const char*>(page.bytes.data()), kPageSize);
-  if (!file_) {
-    file_.clear();
-    return Status::IoError("short write on page " + std::to_string(id));
+Status FilePageStore::WritePage(PageId id, const Page& page) {
+  const std::string err = TransferAll(::pwrite, fd_, page.bytes.data(),
+                                      kPageSize, PageOffset(id));
+  if (!err.empty()) {
+    return Status::IoError("short write on page " + std::to_string(id) +
+                           ": " + err);
   }
+  if (id == crc_.size()) crc_.push_back(0);  // Allocate extends the volume
   crc_[id] = Crc32(page.bytes.data(), kPageSize);
   return Status::OK();
 }
 
 Status FilePageStore::Sync() {
-  MutexLock lock(mu_);
-  return SyncLocked();
-}
-
-Status FilePageStore::SyncLocked() {
-  if (!file_.is_open()) return Status::OK();
-  file_.flush();
-  if (!file_) {
-    file_.clear();
-    return Status::IoError("flush of '" + path_ + "' failed");
+  if (::fdatasync(fd_) != 0) {
+    return Status::IoError("fdatasync of '" + path_ + "' failed: " +
+                           ErrnoText());
   }
-  std::ofstream meta(MetaPath(), std::ios::binary | std::ios::trunc);
-  if (!meta) {
+  std::string meta;
+  PutScalar<std::uint64_t>(&meta, kMetaMagic);
+  PutScalar<std::uint64_t>(&meta, capacity_pages());
+  PutScalar<std::uint64_t>(&meta, num_live_pages());
+  for (std::size_t i = 0; i < capacity_pages(); ++i) {
+    PutScalar<std::uint8_t>(&meta, IsLive(static_cast<PageId>(i)) ? 1 : 0);
+    PutScalar<std::uint32_t>(&meta, crc_[i]);
+  }
+  const int meta_fd = ::open(MetaPath().c_str(),
+                             O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (meta_fd < 0) {
     return Status::IoError("cannot write metadata file '" + MetaPath() + "'");
   }
-  PutScalar<std::uint64_t>(meta, kMetaMagic);
-  PutScalar<std::uint64_t>(meta, live_.size());
-  PutScalar<std::uint64_t>(meta, live_count_);
-  for (std::size_t i = 0; i < live_.size(); ++i) {
-    PutScalar<std::uint8_t>(meta, live_[i] ? 1 : 0);
-    PutScalar<std::uint32_t>(meta, crc_[i]);
+  std::string err = TransferAll(::pwrite, meta_fd, meta.data(), meta.size(), 0);
+  if (err.empty() && ::fdatasync(meta_fd) != 0) err = ErrnoText();
+  if (::close(meta_fd) != 0 && err.empty()) err = ErrnoText();
+  if (!err.empty()) {
+    return Status::IoError("metadata write of '" + MetaPath() +
+                           "' failed: " + err);
   }
-  meta.flush();
-  if (!meta) return Status::IoError("metadata write failed");
   return Status::OK();
 }
 

@@ -1,14 +1,13 @@
 #ifndef TSSS_STORAGE_FILE_PAGE_STORE_H_
 #define TSSS_STORAGE_FILE_PAGE_STORE_H_
 
-#include <fstream>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "tsss/common/mutex.h"
 #include "tsss/common/status.h"
-#include "tsss/common/thread_annotations.h"
 #include "tsss/storage/page_store.h"
 
 namespace tsss::storage {
@@ -17,63 +16,45 @@ namespace tsss::storage {
 /// and a sidecar file `path + ".meta"` records the allocation state plus a
 /// CRC-32 per page, verified on every read.
 ///
-/// Durability model: Sync() persists the metadata and flushes the data file;
-/// the destructor calls it best-effort. Crash atomicity (journaling) is out
-/// of scope - this store exists to persist built indexes and to keep the I/O
-/// path honest, not to be a transactional engine.
+/// Pages move with pread/pwrite at their own offsets, so there is no shared
+/// file cursor and no lock: the PageStore contract (concurrent Read/Write of
+/// distinct live pages, exclusive Allocate/Free/Sync) holds as is, and each
+/// page's CRC slot is touched only by that page's reads and writes.
 ///
-/// Thread-safety: fully internally synchronized. The single std::fstream
-/// cursor forces every operation through one mutex, so concurrent access is
-/// safe but serialized; the buffer-pool shards in front of the store provide
-/// the read concurrency (see DESIGN.md §8).
+/// Durability model: Sync() fdatasyncs the page file, then rewrites and
+/// fdatasyncs the metadata; the destructor calls it best-effort. Crash
+/// atomicity (journaling) is out of scope - this store exists to persist
+/// built indexes and to keep the I/O path honest, not to be a transactional
+/// engine.
 class FilePageStore final : public PageStore {
  public:
   /// Creates a fresh (truncated) volume.
-  static Result<std::unique_ptr<FilePageStore>> Create(const std::string& path);
+  static Result<std::unique_ptr<PageStore>> Create(const std::string& path);
 
   /// Opens an existing volume created by Create()/Sync().
-  static Result<std::unique_ptr<FilePageStore>> Open(const std::string& path);
+  static Result<std::unique_ptr<PageStore>> Open(const std::string& path);
 
   ~FilePageStore() override;
 
-  FilePageStore(const FilePageStore&) = delete;
-  FilePageStore& operator=(const FilePageStore&) = delete;
-
-  PageId Allocate() override;
-  Status Free(PageId id) override;
-  Status Read(PageId id, Page* out) override;
-  Status Write(PageId id, const Page& page) override;
-  std::size_t num_live_pages() const override {
-    MutexLock lock(mu_);
-    return live_count_;
-  }
-  std::size_t capacity_pages() const override {
-    MutexLock lock(mu_);
-    return live_.size();
-  }
-
-  /// Persists metadata (allocation state + checksums) and flushes the data
-  /// file.
-  Status Sync();
-
-  const std::string& path() const { return path_; }
+  /// Persists metadata (allocation state + checksums) and the page file.
+  Status Sync() override;
 
  private:
-  explicit FilePageStore(std::string path);
+  /// Takes ownership of `fd`; `live` and `crc` describe its pages.
+  FilePageStore(std::string path, int fd, std::vector<bool> live,
+                std::vector<std::uint32_t> crc)
+      : PageStore(std::move(live)),
+        path_(std::move(path)),
+        fd_(fd),
+        crc_(std::move(crc)) {}
 
-  Status CheckLive(PageId id) const TSSS_REQUIRES(mu_);
+  Status ReadPage(PageId id, Page* out) override;
+  Status WritePage(PageId id, const Page& page) override;
   std::string MetaPath() const { return path_ + ".meta"; }
-  /// Sync body.
-  Status SyncLocked() TSSS_REQUIRES(mu_);
 
   std::string path_;
-  /// Guards the file cursor and all allocation metadata below.
-  mutable Mutex mu_;
-  std::fstream file_ TSSS_GUARDED_BY(mu_);
-  std::vector<bool> live_ TSSS_GUARDED_BY(mu_);
-  std::vector<std::uint32_t> crc_ TSSS_GUARDED_BY(mu_);
-  std::vector<PageId> free_list_ TSSS_GUARDED_BY(mu_);
-  std::size_t live_count_ TSSS_GUARDED_BY(mu_) = 0;
+  int fd_;
+  std::vector<std::uint32_t> crc_;
 };
 
 }  // namespace tsss::storage

@@ -1,33 +1,45 @@
 #include "tsss/storage/page_store.h"
 
 #include <string>
+#include <utility>
 
 namespace tsss::storage {
 
-PageId MemPageStore::Allocate() {
-  PageId id;
-  if (!free_list_.empty()) {
-    id = free_list_.back();
+PageStore::PageStore(std::vector<bool> live) : live_(std::move(live)) {
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    if (live_[i]) {
+      ++live_count_;
+    } else {
+      free_list_.push_back(static_cast<PageId>(i));
+    }
+  }
+}
+
+Result<PageId> PageStore::Allocate() {
+  const bool recycled = !free_list_.empty();
+  const PageId id =
+      recycled ? free_list_.back() : static_cast<PageId>(live_.size());
+  // Zero-fill so fresh and recycled pages read back deterministically.
+  Status s = WritePage(id, Page{});
+  if (!s.ok()) return s;
+  if (recycled) {
     free_list_.pop_back();
-    *pages_[id] = Page{};  // zero-fill recycled pages
     live_[id] = true;
   } else {
-    id = static_cast<PageId>(pages_.size());
-    pages_.push_back(std::make_unique<Page>());
     live_.push_back(true);
   }
   ++live_count_;
   return id;
 }
 
-Status MemPageStore::CheckLive(PageId id) const {
-  if (id >= pages_.size() || !live_[id]) {
+Status PageStore::CheckLive(PageId id) const {
+  if (!IsLive(id)) {
     return Status::NotFound("page " + std::to_string(id) + " is not live");
   }
   return Status::OK();
 }
 
-Status MemPageStore::Free(PageId id) {
+Status PageStore::Free(PageId id) {
   Status s = CheckLive(id);
   if (!s.ok()) return s;
   live_[id] = false;
@@ -36,19 +48,31 @@ Status MemPageStore::Free(PageId id) {
   return Status::OK();
 }
 
-Status MemPageStore::Read(PageId id, Page* out) {
+Status PageStore::Read(PageId id, Page* out) {
   Status s = CheckLive(id);
   if (!s.ok()) return s;
   ++metrics_.physical_reads;
+  return ReadPage(id, out);
+}
+
+Status PageStore::Write(PageId id, const Page& page) {
+  Status s = CheckLive(id);
+  if (!s.ok()) return s;
+  ++metrics_.physical_writes;
+  return WritePage(id, page);
+}
+
+Status MemPageStore::ReadPage(PageId id, Page* out) {
   *out = *pages_[id];
   return Status::OK();
 }
 
-Status MemPageStore::Write(PageId id, const Page& page) {
-  Status s = CheckLive(id);
-  if (!s.ok()) return s;
-  ++metrics_.physical_writes;
-  *pages_[id] = page;
+Status MemPageStore::WritePage(PageId id, const Page& page) {
+  if (id == pages_.size()) {
+    pages_.push_back(std::make_unique<Page>(page));
+  } else {
+    *pages_[id] = page;
+  }
   return Status::OK();
 }
 

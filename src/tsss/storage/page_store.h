@@ -10,38 +10,73 @@
 
 namespace tsss::storage {
 
-/// Abstract page volume: a flat, growable array of 4 KiB pages with
+/// Page volume: a flat, growable array of 4 KiB pages with
 /// allocate/free/read/write. Every Read/Write counts as one physical page
 /// access - the unit the paper's Figure 5 reports.
 ///
-/// Implementations: MemPageStore (simulated disk in RAM, the default) and
-/// FilePageStore (a real file with per-page checksums).
+/// The volume bookkeeping (which pages are live, the free list, access
+/// counting) lives here once; an implementation only says where a page image
+/// lives, through the private ReadPage/WritePage hooks, and how it reaches
+/// stable storage (Sync). Implementations: MemPageStore (simulated disk in
+/// RAM, the default) and FilePageStore (a real file with per-page checksums).
+///
+/// Thread-safety: Read/Write on *distinct live pages* may run concurrently
+/// (access counters are atomic; page images are disjoint). Allocate/Free/Sync
+/// read or mutate the volume shape and require exclusive access - the same
+/// single-writer contract the buffer pool and engine expose (see DESIGN.md
+/// §8, "Thread-safety contract").
 class PageStore {
  public:
   virtual ~PageStore() = default;
 
+  PageStore(const PageStore&) = delete;
+  PageStore& operator=(const PageStore&) = delete;
+
   /// Allocates a zeroed page and returns its id. Freed pages are recycled.
-  virtual PageId Allocate() = 0;
+  /// The zero-fill is not counted as a physical write.
+  Result<PageId> Allocate();
 
   /// Returns a page to the free list. Double frees are detected.
-  virtual Status Free(PageId id) = 0;
+  Status Free(PageId id);
 
   /// Copies the page contents into `out`. Counts one physical read.
-  virtual Status Read(PageId id, Page* out) = 0;
+  Status Read(PageId id, Page* out);
 
   /// Overwrites the page. Counts one physical write.
-  virtual Status Write(PageId id, const Page& page) = 0;
+  Status Write(PageId id, const Page& page);
+
+  /// Makes every page and the allocation state durable.
+  virtual Status Sync() = 0;
 
   /// Number of live (allocated, not freed) pages.
-  virtual std::size_t num_live_pages() const = 0;
+  std::size_t num_live_pages() const { return live_count_; }
 
   /// Total pages ever allocated (high-water mark of the volume).
-  virtual std::size_t capacity_pages() const = 0;
+  std::size_t capacity_pages() const { return live_.size(); }
 
   PageAccessMetrics metrics() const { return metrics_.Snapshot(); }
   void ResetMetrics() { metrics_.Reset(); }
 
  protected:
+  /// `live` is the allocation state of a reopened volume (empty for a new
+  /// one); the free list and live count are rebuilt from it.
+  explicit PageStore(std::vector<bool> live = {});
+
+  bool IsLive(PageId id) const { return id < live_.size() && live_[id]; }
+
+ private:
+  /// Copies the stored image of live page `id` into `out`.
+  virtual Status ReadPage(PageId id, Page* out) = 0;
+
+  /// Stores `page` as the image of page `id`. Allocate calls it with
+  /// id == capacity_pages() to extend the volume by one page.
+  virtual Status WritePage(PageId id, const Page& page) = 0;
+
+  Status CheckLive(PageId id) const;
+
+  std::vector<bool> live_;
+  std::vector<PageId> free_list_;
+  std::size_t live_count_ = 0;
   /// Atomic so concurrent readers (buffer-pool shards serving the query
   /// service) can count without racing; see AtomicPageAccessMetrics.
   AtomicPageAccessMetrics metrics_;
@@ -50,33 +85,15 @@ class PageStore {
 /// In-memory page store simulating a disk volume. The store is RAM-backed;
 /// the I/O *model* (page granularity, access counting), not the medium, is
 /// what the experiments depend on.
-///
-/// Thread-safety: Read/Write on *distinct live pages* may run concurrently
-/// (access counters are atomic; page payloads are disjoint). Allocate/Free
-/// mutate the volume shape and require exclusive access — the same
-/// single-writer contract the buffer pool and engine expose (see DESIGN.md
-/// §8, "Thread-safety contract").
 class MemPageStore final : public PageStore {
  public:
-  MemPageStore() = default;
-
-  MemPageStore(const MemPageStore&) = delete;
-  MemPageStore& operator=(const MemPageStore&) = delete;
-
-  PageId Allocate() override;
-  Status Free(PageId id) override;
-  Status Read(PageId id, Page* out) override;
-  Status Write(PageId id, const Page& page) override;
-  std::size_t num_live_pages() const override { return live_count_; }
-  std::size_t capacity_pages() const override { return pages_.size(); }
+  Status Sync() override { return Status::OK(); }
 
  private:
-  Status CheckLive(PageId id) const;
+  Status ReadPage(PageId id, Page* out) override;
+  Status WritePage(PageId id, const Page& page) override;
 
   std::vector<std::unique_ptr<Page>> pages_;
-  std::vector<bool> live_;
-  std::vector<PageId> free_list_;
-  std::size_t live_count_ = 0;
 };
 
 }  // namespace tsss::storage

@@ -48,7 +48,7 @@ TEST(EngineEdgeTest, AppendToNonLastSeriesFailsCleanly) {
             StatusCode::kFailedPrecondition);
   // The failed append must not have half-indexed anything.
   EXPECT_EQ((*engine)->num_indexed_windows(), before);
-  ASSERT_TRUE((*engine)->tree().CheckInvariants().ok());
+  ASSERT_TRUE((*engine)->tree().ValidateInvariants().ok());
 }
 
 TEST(EngineEdgeTest, AppendSingleValuesStreamEquivalentToBatch) {

@@ -228,7 +228,7 @@ TEST(EngineTest, AppendIndexesNewWindowsOnly) {
   EXPECT_EQ((*engine)->num_indexed_windows(), 5u);  // 20-16+1
   ASSERT_TRUE((*engine)->Append(*id, std::vector<double>(10, 2.0)).ok());
   EXPECT_EQ((*engine)->num_indexed_windows(), 15u);  // 30-16+1
-  ASSERT_TRUE((*engine)->tree().CheckInvariants().ok());
+  ASSERT_TRUE((*engine)->tree().ValidateInvariants().ok());
 }
 
 TEST(EngineTest, AppendedWindowsAreSearchable) {
@@ -284,7 +284,7 @@ TEST(EngineTest, BulkBuildEquivalentToIncremental) {
   auto bulk = SearchEngine::Create(SmallEngineConfig());
   ASSERT_TRUE(bulk.ok());
   ASSERT_TRUE((*bulk)->BulkBuild(market).ok());
-  ASSERT_TRUE((*bulk)->tree().CheckInvariants().ok());
+  ASSERT_TRUE((*bulk)->tree().ValidateInvariants().ok());
   EXPECT_EQ((*bulk)->num_indexed_windows(), (*incremental)->num_indexed_windows());
 
   Rng rng(10);

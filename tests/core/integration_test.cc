@@ -45,7 +45,7 @@ class IntegrationTest : public ::testing::TestWithParam<IntegrationParam> {
     market_config.seed = 20260706;
     market_ = seq::GenerateStockMarket(market_config);
     ASSERT_TRUE(engine_->BulkBuild(market_).ok());
-    ASSERT_TRUE(engine_->tree().CheckInvariants().ok());
+    ASSERT_TRUE(engine_->tree().ValidateInvariants().ok());
   }
 
   Vec QueryFromData(Rng& rng) {

@@ -66,7 +66,7 @@ TEST_F(PersistenceTest, CheckpointAndReopenGiveIdenticalAnswers) {
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ((*reopened)->num_indexed_windows(), 10u * (100 - 16 + 1));
   EXPECT_EQ((*reopened)->config().window, 16u);
-  ASSERT_TRUE((*reopened)->tree().CheckInvariants().ok());
+  ASSERT_TRUE((*reopened)->tree().ValidateInvariants().ok());
 
   auto matches = (*reopened)->RangeQuery(query, 0.5);
   ASSERT_TRUE(matches.ok());
@@ -94,7 +94,7 @@ TEST_F(PersistenceTest, ReopenedEngineStaysMutable) {
   for (auto& x : fresh) x = rng.Uniform(0, 10);
   ASSERT_TRUE((*reopened)->AddSeries("fresh", fresh).ok());
   EXPECT_EQ((*reopened)->num_indexed_windows(), before + 25);
-  ASSERT_TRUE((*reopened)->tree().CheckInvariants().ok());
+  ASSERT_TRUE((*reopened)->tree().ValidateInvariants().ok());
 
   // Checkpoint again and reopen once more.
   ASSERT_TRUE((*reopened)->Checkpoint().ok());
@@ -126,7 +126,7 @@ TEST_F(PersistenceTest, BulkBuiltEngineSurvivesReopen) {
   }
   auto reopened = SearchEngine::Open(dir_);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  ASSERT_TRUE((*reopened)->tree().CheckInvariants().ok());
+  ASSERT_TRUE((*reopened)->tree().ValidateInvariants().ok());
   // Self-window is found exactly.
   const Vec query(market[0].values.begin(), market[0].values.begin() + 16);
   auto matches = (*reopened)->RangeQuery(query, 1e-9);

@@ -44,7 +44,7 @@ TEST(SubtrailTest, RangeQueryMatchesSequentialScan) {
   for (const auto& series : market) {
     ASSERT_TRUE((*engine)->AddSeries(series.name, series.values).ok());
   }
-  ASSERT_TRUE((*engine)->tree().CheckInvariants().ok());
+  ASSERT_TRUE((*engine)->tree().ValidateInvariants().ok());
   SequentialScanner scanner(&(*engine)->dataset(), 16);
 
   Rng rng(9);
@@ -126,7 +126,7 @@ TEST(SubtrailTest, AppendRebuildsPartialTrail) {
   ASSERT_TRUE((*engine)->Append(*id, extra).ok());
   // 32 values -> windows 0..16 -> trails {0..3},{4..7},{8..11},{12..15},{16}.
   EXPECT_EQ((*engine)->tree().size(), 5u);
-  ASSERT_TRUE((*engine)->tree().CheckInvariants().ok());
+  ASSERT_TRUE((*engine)->tree().ValidateInvariants().ok());
 
   // Every window, including those spanning the append boundary, is found.
   auto values = (*engine)->dataset().Values(*id);

@@ -42,7 +42,7 @@ TEST(BulkLoadTest, EmptyLoadGivesEmptyTree) {
   ASSERT_TRUE(f.tree->BulkLoad({}).ok());
   EXPECT_EQ(f.tree->size(), 0u);
   EXPECT_EQ(f.tree->height(), 1u);
-  ASSERT_TRUE(f.tree->CheckInvariants().ok());
+  ASSERT_TRUE(f.tree->ValidateInvariants().ok());
 }
 
 TEST(BulkLoadTest, SingleLeafWhenFewEntries) {
@@ -51,7 +51,7 @@ TEST(BulkLoadTest, SingleLeafWhenFewEntries) {
   ASSERT_TRUE(f.tree->BulkLoad(RandomEntries(rng, 10, 3)).ok());
   EXPECT_EQ(f.tree->size(), 10u);
   EXPECT_EQ(f.tree->height(), 1u);
-  ASSERT_TRUE(f.tree->CheckInvariants().ok());
+  ASSERT_TRUE(f.tree->ValidateInvariants().ok());
 }
 
 TEST(BulkLoadTest, LargeLoadKeepsAllRecordsQueryable) {
@@ -63,7 +63,7 @@ TEST(BulkLoadTest, LargeLoadKeepsAllRecordsQueryable) {
   ASSERT_TRUE(f.tree->BulkLoad(std::move(entries)).ok());
   EXPECT_EQ(f.tree->size(), 5000u);
   EXPECT_GT(f.tree->height(), 2u);
-  ASSERT_TRUE(f.tree->CheckInvariants().ok()) << f.tree->CheckInvariants();
+  ASSERT_TRUE(f.tree->ValidateInvariants().ok()) << f.tree->ValidateInvariants();
 
   for (RecordId i = 0; i < 5000; i += 113) {
     auto result = f.tree->RangeQuery(Mbr::FromPoint(points[i]));
@@ -104,7 +104,7 @@ TEST(BulkLoadTest, SupportsDynamicInsertAfterLoad) {
     ASSERT_TRUE(f.tree->Insert(p, 100000 + i).ok());
   }
   EXPECT_EQ(f.tree->size(), 1200u);
-  ASSERT_TRUE(f.tree->CheckInvariants().ok()) << f.tree->CheckInvariants();
+  ASSERT_TRUE(f.tree->ValidateInvariants().ok()) << f.tree->ValidateInvariants();
 }
 
 TEST(BulkLoadTest, RejectsDimensionMismatch) {

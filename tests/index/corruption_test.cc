@@ -93,7 +93,7 @@ TEST_F(CorruptionFixture, InsertSurfacesCorruption) {
 
 TEST_F(CorruptionFixture, CheckInvariantsDetectsDamage) {
   SmashAllButRoot();
-  EXPECT_FALSE(tree->CheckInvariants().ok());
+  EXPECT_FALSE(tree->ValidateInvariants().ok());
 }
 
 TEST(CorruptionDetailTest, BadLevelInChildIsCaught) {
@@ -128,7 +128,7 @@ TEST(CorruptionDetailTest, BadLevelInChildIsCaught) {
     ASSERT_TRUE(store.Write(id, page).ok());
     break;
   }
-  EXPECT_FALSE(tree->CheckInvariants().ok());
+  EXPECT_FALSE(tree->ValidateInvariants().ok());
 }
 
 }  // namespace

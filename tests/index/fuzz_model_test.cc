@@ -126,8 +126,8 @@ TEST_P(RTreeFuzzTest, RandomOpsAgreeWithReferenceModel) {
     }
 
     if (step % 250 == 249) {
-      ASSERT_TRUE(tree.CheckInvariants().ok())
-          << "step " << step << ": " << tree.CheckInvariants();
+      ASSERT_TRUE(tree.ValidateInvariants().ok())
+          << "step " << step << ": " << tree.ValidateInvariants();
       ASSERT_EQ(tree.size(), model.size()) << "step " << step;
     }
   }
@@ -138,7 +138,7 @@ TEST_P(RTreeFuzzTest, RandomOpsAgreeWithReferenceModel) {
     ASSERT_TRUE(tree.Delete(point, record).ok());
     model.Erase(record);
   }
-  ASSERT_TRUE(tree.CheckInvariants().ok());
+  ASSERT_TRUE(tree.ValidateInvariants().ok());
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(store.num_live_pages(), 1u) << "pages leaked";
 }

@@ -79,7 +79,7 @@ TEST(RTreeTest, EmptyTreeQueries) {
   EXPECT_TRUE(result->empty());
   EXPECT_EQ(f.tree->size(), 0u);
   EXPECT_EQ(f.tree->height(), 1u);
-  EXPECT_TRUE(f.tree->CheckInvariants().ok());
+  EXPECT_TRUE(f.tree->ValidateInvariants().ok());
 }
 
 TEST(RTreeTest, InsertAndPointQuery) {
@@ -107,7 +107,7 @@ TEST_P(RTreeSplitParamTest, ManyInsertsKeepInvariantsAndFindEverything) {
     ASSERT_TRUE(f.tree->Insert(points.back(), i).ok());
   }
   EXPECT_EQ(f.tree->size(), 500u);
-  ASSERT_TRUE(f.tree->CheckInvariants().ok()) << f.tree->CheckInvariants();
+  ASSERT_TRUE(f.tree->ValidateInvariants().ok()) << f.tree->ValidateInvariants();
   EXPECT_GT(f.tree->height(), 1u);
 
   // Every point is found by a point query.
@@ -149,7 +149,7 @@ TEST_P(RTreeSplitParamTest, DuplicatePointsAllFound) {
   TreeFixture f(SmallConfig(GetParam()));
   const Vec p{5.0, 5.0};
   for (RecordId i = 0; i < 50; ++i) ASSERT_TRUE(f.tree->Insert(p, i).ok());
-  ASSERT_TRUE(f.tree->CheckInvariants().ok());
+  ASSERT_TRUE(f.tree->ValidateInvariants().ok());
   auto result = f.tree->RangeQuery(Mbr::FromPoint(p));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 50u);
@@ -189,13 +189,13 @@ TEST(RTreeDeleteTest, InsertThenDeleteAllLeavesEmptyTree) {
     const RecordId i = order[k];
     ASSERT_TRUE(f.tree->Delete(points[i], i).ok()) << "record " << i;
     if (k % 37 == 0) {
-      ASSERT_TRUE(f.tree->CheckInvariants().ok())
-          << "after " << (k + 1) << " deletes: " << f.tree->CheckInvariants();
+      ASSERT_TRUE(f.tree->ValidateInvariants().ok())
+          << "after " << (k + 1) << " deletes: " << f.tree->ValidateInvariants();
     }
   }
   EXPECT_EQ(f.tree->size(), 0u);
   EXPECT_EQ(f.tree->height(), 1u);
-  ASSERT_TRUE(f.tree->CheckInvariants().ok());
+  ASSERT_TRUE(f.tree->ValidateInvariants().ok());
 }
 
 TEST(RTreeDeleteTest, RemainingRecordsStillFindableAfterDeletes) {
@@ -210,7 +210,7 @@ TEST(RTreeDeleteTest, RemainingRecordsStillFindableAfterDeletes) {
   for (RecordId i = 0; i < 200; i += 2) {
     ASSERT_TRUE(f.tree->Delete(points[i], i).ok());
   }
-  ASSERT_TRUE(f.tree->CheckInvariants().ok());
+  ASSERT_TRUE(f.tree->ValidateInvariants().ok());
   EXPECT_EQ(f.tree->size(), 100u);
   for (RecordId i = 1; i < 200; i += 2) {
     auto result = f.tree->RangeQuery(Mbr::FromPoint(points[i]));
@@ -243,7 +243,7 @@ TEST(RTreeDeleteTest, MixedInsertDeleteChurn) {
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     }
     if (step % 100 == 99) {
-      ASSERT_TRUE(f.tree->CheckInvariants().ok());
+      ASSERT_TRUE(f.tree->ValidateInvariants().ok());
       EXPECT_EQ(f.tree->size(), live.size());
     }
   }
@@ -260,7 +260,7 @@ TEST(RTreeTest, HigherDimensionalTree) {
     points.push_back(RandomPoint(rng, 6));
     ASSERT_TRUE(f.tree->Insert(points.back(), i).ok());
   }
-  ASSERT_TRUE(f.tree->CheckInvariants().ok());
+  ASSERT_TRUE(f.tree->ValidateInvariants().ok());
   for (RecordId i = 0; i < 300; i += 17) {
     auto result = f.tree->RangeQuery(Mbr::FromPoint(points[i]));
     ASSERT_TRUE(result.ok());

@@ -78,7 +78,7 @@ TEST(SupernodeTest, FormsSupernodesOnUniformHighDimData) {
   for (RecordId i = 0; i < points.size(); ++i) {
     ASSERT_TRUE(f.tree->Insert(points[i], i).ok());
   }
-  ASSERT_TRUE(f.tree->CheckInvariants().ok()) << f.tree->CheckInvariants();
+  ASSERT_TRUE(f.tree->ValidateInvariants().ok()) << f.tree->ValidateInvariants();
   auto stats = f.tree->ComputeStats();
   ASSERT_TRUE(stats.ok());
   EXPECT_GT(stats->supernode_count, 0u)
@@ -140,7 +140,7 @@ TEST(SupernodeTest, DeletesShrinkChainsAndKeepInvariants) {
   for (RecordId i = 0; i < points.size(); i += 2) {
     ASSERT_TRUE(f.tree->Delete(points[i], i).ok());
   }
-  ASSERT_TRUE(f.tree->CheckInvariants().ok()) << f.tree->CheckInvariants();
+  ASSERT_TRUE(f.tree->ValidateInvariants().ok()) << f.tree->ValidateInvariants();
   EXPECT_EQ(f.tree->size(), points.size() / 2);
   EXPECT_LT(f.store.num_live_pages(), live_before);
 }

@@ -273,17 +273,17 @@ TEST(QueryServiceTest, InvalidRequestFailsThatQueryOnly) {
 
 TEST(LatencyHistogramTest, BucketsAreMonotoneAndAligned) {
   std::uint64_t prev_floor = 0;
-  for (std::size_t b = 1; b < LatencyHistogram::kNumBuckets; ++b) {
-    const std::uint64_t floor = LatencyHistogram::BucketFloorUs(b);
+  for (std::size_t b = 1; b < obs::LatencyHistogram::kNumBuckets; ++b) {
+    const std::uint64_t floor = obs::LatencyHistogram::BucketFloorUs(b);
     EXPECT_GT(floor, prev_floor) << "bucket " << b;
     // The floor of a bucket maps back into that bucket.
-    EXPECT_EQ(LatencyHistogram::BucketFor(floor), b);
+    EXPECT_EQ(obs::LatencyHistogram::BucketFor(floor), b);
     prev_floor = floor;
   }
 }
 
 TEST(LatencyHistogramTest, PercentilesBracketRecordedValues) {
-  LatencyHistogram hist;
+  obs::LatencyHistogram hist;
   EXPECT_EQ(hist.PercentileMs(0.5), 0.0);  // empty
   for (int i = 0; i < 99; ++i) hist.Record(std::chrono::microseconds(1000));
   hist.Record(std::chrono::microseconds(1u << 20));  // one ~1s outlier

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -32,7 +35,7 @@ class FilePageStoreTest : public ::testing::Test {
 TEST_F(FilePageStoreTest, CreateWriteReadBack) {
   auto store = FilePageStore::Create(path_);
   ASSERT_TRUE(store.ok()) << store.status();
-  const PageId id = (*store)->Allocate();
+  const PageId id = *(*store)->Allocate();
   Page page;
   page.bytes[0] = 0xAB;
   page.bytes[kPageSize - 1] = 0xCD;
@@ -48,8 +51,8 @@ TEST_F(FilePageStoreTest, PersistsAcrossReopen) {
   {
     auto store = FilePageStore::Create(path_);
     ASSERT_TRUE(store.ok());
-    id = (*store)->Allocate();
-    (*store)->Allocate();  // a second page
+    id = *(*store)->Allocate();
+    ASSERT_TRUE((*store)->Allocate().ok());  // a second page
     Page page;
     page.bytes[7] = 0x77;
     ASSERT_TRUE((*store)->Write(id, page).ok());
@@ -68,8 +71,8 @@ TEST_F(FilePageStoreTest, FreeListSurvivesReopen) {
   {
     auto store = FilePageStore::Create(path_);
     ASSERT_TRUE(store.ok());
-    freed = (*store)->Allocate();
-    (*store)->Allocate();
+    freed = *(*store)->Allocate();
+    ASSERT_TRUE((*store)->Allocate().ok());
     ASSERT_TRUE((*store)->Free(freed).ok());
     ASSERT_TRUE((*store)->Sync().ok());
   }
@@ -77,7 +80,7 @@ TEST_F(FilePageStoreTest, FreeListSurvivesReopen) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->num_live_pages(), 1u);
   // The freed page is recycled on the next allocation.
-  EXPECT_EQ((*reopened)->Allocate(), freed);
+  EXPECT_EQ(*(*reopened)->Allocate(), freed);
 }
 
 TEST_F(FilePageStoreTest, DetectsOnDiskCorruption) {
@@ -85,7 +88,7 @@ TEST_F(FilePageStoreTest, DetectsOnDiskCorruption) {
   {
     auto store = FilePageStore::Create(path_);
     ASSERT_TRUE(store.ok());
-    id = (*store)->Allocate();
+    id = *(*store)->Allocate();
     Page page;
     page.bytes[100] = 0x42;
     ASSERT_TRUE((*store)->Write(id, page).ok());
@@ -113,7 +116,7 @@ TEST_F(FilePageStoreTest, OpenRejectsTruncatedMeta) {
   {
     auto store = FilePageStore::Create(path_);
     ASSERT_TRUE(store.ok());
-    (*store)->Allocate();
+    ASSERT_TRUE((*store)->Allocate().ok());
     ASSERT_TRUE((*store)->Sync().ok());
   }
   // Truncate the metadata file.
@@ -126,12 +129,12 @@ TEST_F(FilePageStoreTest, OpenRejectsTruncatedMeta) {
 TEST_F(FilePageStoreTest, FreshAndRecycledPagesAreZeroed) {
   auto store = FilePageStore::Create(path_);
   ASSERT_TRUE(store.ok());
-  const PageId id = (*store)->Allocate();
+  const PageId id = *(*store)->Allocate();
   Page page;
   page.bytes.fill(0xFF);
   ASSERT_TRUE((*store)->Write(id, page).ok());
   ASSERT_TRUE((*store)->Free(id).ok());
-  const PageId recycled = (*store)->Allocate();
+  const PageId recycled = *(*store)->Allocate();
   EXPECT_EQ(recycled, id);
   Page out;
   ASSERT_TRUE((*store)->Read(recycled, &out).ok());
@@ -141,7 +144,7 @@ TEST_F(FilePageStoreTest, FreshAndRecycledPagesAreZeroed) {
 TEST_F(FilePageStoreTest, MetricsCounted) {
   auto store = FilePageStore::Create(path_);
   ASSERT_TRUE(store.ok());
-  const PageId id = (*store)->Allocate();
+  const PageId id = *(*store)->Allocate();
   Page page;
   ASSERT_TRUE((*store)->Write(id, page).ok());
   ASSERT_TRUE((*store)->Read(id, &page).ok());
@@ -152,7 +155,7 @@ TEST_F(FilePageStoreTest, MetricsCounted) {
 TEST_F(FilePageStoreTest, DoubleFreeAndBadIdsRejected) {
   auto store = FilePageStore::Create(path_);
   ASSERT_TRUE(store.ok());
-  const PageId id = (*store)->Allocate();
+  const PageId id = *(*store)->Allocate();
   ASSERT_TRUE((*store)->Free(id).ok());
   EXPECT_FALSE((*store)->Free(id).ok());
   Page out;
@@ -186,6 +189,96 @@ TEST_F(FilePageStoreTest, WorksUnderTheBufferPool) {
     ASSERT_TRUE(guard.ok());
     EXPECT_EQ(guard->page().bytes[0], static_cast<std::uint8_t>(i));
   }
+}
+
+TEST_F(FilePageStoreTest, ConcurrentReadsAndWritesOfDistinctPages) {
+  // Pages move with pread/pwrite at their own offsets, so readers of some
+  // live pages and a writer of others share no cursor and no lock.
+  constexpr int kReaders = 4;
+  constexpr int kWritten = 4;
+  constexpr int kRounds = 200;
+  auto store = FilePageStore::Create(path_);
+  ASSERT_TRUE(store.ok()) << store.status();
+  PageStore& volume = **store;
+  std::vector<PageId> read_ids;
+  std::vector<PageId> write_ids;
+  for (int i = 0; i < kReaders + kWritten; ++i) {
+    const PageId id = *volume.Allocate();
+    Page page;
+    page.bytes.fill(static_cast<std::uint8_t>(id + 1));
+    ASSERT_TRUE(volume.Write(id, page).ok());
+    (i < kReaders ? read_ids : write_ids).push_back(id);
+  }
+
+  std::vector<int> bad_reads(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const PageId id = read_ids[static_cast<std::size_t>(r)];
+      Page out;
+      for (int round = 0; round < kRounds; ++round) {
+        // Read() re-verifies the page CRC, so a torn image fails here.
+        if (!volume.Read(id, &out).ok() ||
+            out.bytes[0] != static_cast<std::uint8_t>(id + 1) ||
+            out.bytes[kPageSize - 1] != static_cast<std::uint8_t>(id + 1)) {
+          ++bad_reads[static_cast<std::size_t>(r)];
+        }
+      }
+    });
+  }
+  std::thread writer([&] {
+    Page page;
+    for (int round = 0; round < kRounds; ++round) {
+      for (PageId id : write_ids) {
+        page.bytes.fill(static_cast<std::uint8_t>(round + id));
+        ASSERT_TRUE(volume.Write(id, page).ok());
+      }
+    }
+  });
+  for (std::thread& t : readers) t.join();
+  writer.join();
+  for (int r = 0; r < kReaders; ++r) EXPECT_EQ(bad_reads[r], 0) << "reader " << r;
+
+  // The writer's last images and their CRCs survive a sync and reopen.
+  ASSERT_TRUE(volume.Sync().ok());
+  store->reset();
+  auto reopened = FilePageStore::Open(path_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  for (PageId id : write_ids) {
+    Page out;
+    ASSERT_TRUE((*reopened)->Read(id, &out).ok()) << "page " << id;
+    EXPECT_EQ(out.bytes[kPageSize / 2],
+              static_cast<std::uint8_t>(kRounds - 1 + id));
+  }
+}
+
+TEST_F(FilePageStoreTest, FailedOpenLeavesMetadataUntouched) {
+  {
+    auto store = FilePageStore::Create(path_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Allocate().ok());
+    ASSERT_TRUE((*store)->Sync().ok());
+  }
+  // Corrupt the live count (bytes 16..23) so Open rejects the volume.
+  const auto read_meta = [&] {
+    std::ifstream in(path_ + ".meta", std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+  };
+  std::vector<char> meta = read_meta();
+  ASSERT_GE(meta.size(), 24u);
+  meta[16] = 17;
+  {
+    std::ofstream out(path_ + ".meta", std::ios::binary | std::ios::trunc);
+    out.write(meta.data(), static_cast<std::streamsize>(meta.size()));
+  }
+  EXPECT_EQ(FilePageStore::Open(path_).status().code(),
+            StatusCode::kCorruption);
+  // The rejected store must not sync its half-read state over the sidecar:
+  // the corruption stays on disk, and a second open still reports it.
+  EXPECT_EQ(read_meta(), meta);
+  EXPECT_EQ(FilePageStore::Open(path_).status().code(),
+            StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ class MalformedMetaTest : public ::testing::Test {
   PageId CreateStoreWithOnePage(std::uint8_t fill) {
     auto store = FilePageStore::Create(path_);
     EXPECT_TRUE(store.ok()) << store.status().message();
-    const PageId id = (*store)->Allocate();
+    const PageId id = *(*store)->Allocate();
     Page page;
     page.bytes.fill(fill);
     EXPECT_TRUE((*store)->Write(id, page).ok());
