@@ -7,10 +7,15 @@
 //      or trip ASan/UBSan — malformed pages must come back as Status.
 //   2. Anything DecodePart accepts re-encodes with EncodePart and decodes
 //      again to the identical part (accepted input is round-trip stable).
+//   3. View (the query read path's in-place reader) accepts exactly the
+//      pages DecodePart accepts, with the same Status, and on accepted
+//      pages every field it reads - level, next, count, child/record ids,
+//      every corner bit pattern - matches the decoded part.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "fuzz_check.h"
 #include "tsss/index/node.h"
@@ -39,6 +44,35 @@ void CheckRoundTrip(const tsss::index::NodeCodec& codec,
   }
 }
 
+void CheckViewMatches(const tsss::index::NodeCodec& codec,
+                      const tsss::storage::Page& page,
+                      const tsss::Result<tsss::index::NodePart>& part) {
+  const tsss::Result<tsss::index::NodeView> view = codec.View(page);
+  FUZZ_CHECK(view.ok() == part.ok());
+  if (!part.ok()) {
+    FUZZ_CHECK(view.status().ToString() == part.status().ToString());
+    return;
+  }
+  FUZZ_CHECK(view->level() == part->level);
+  FUZZ_CHECK(view->next() == part->next);
+  FUZZ_CHECK(view->size() == part->entries.size());
+  std::vector<double> lo(codec.dim());
+  std::vector<double> hi(codec.dim());
+  for (std::size_t k = 0; k < view->size(); ++k) {
+    const tsss::index::Entry& e = part->entries[k];
+    if (view->is_leaf()) {
+      FUZZ_CHECK(view->record(k) == e.record);
+    } else {
+      FUZZ_CHECK(view->child(k) == e.child);
+    }
+    view->Corners(k, lo, hi);
+    FUZZ_CHECK(std::memcmp(lo.data(), e.mbr.lo().data(),
+                           lo.size() * sizeof(double)) == 0);
+    FUZZ_CHECK(std::memcmp(hi.data(), e.mbr.hi().data(),
+                           hi.size() * sizeof(double)) == 0);
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -56,6 +90,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const tsss::index::NodeCodec codec(dim, box_leaves);
   const tsss::Result<tsss::index::NodePart> part = codec.DecodePart(page);
   if (part.ok()) CheckRoundTrip(codec, *part);
+  CheckViewMatches(codec, page, part);
 
   // The single-page entry point applies one extra validation (no chain
   // link); it must be just as robust.

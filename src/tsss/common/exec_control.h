@@ -85,9 +85,9 @@ class ExecControl {
 ExecControl* CurrentExecControl();
 
 /// Polls the current thread's ExecControl, if any. The canonical one-liner
-/// for query loops that do page I/O without going through RTree::LoadNode
-/// (which polls per node on its own): tsss_lint's deadline-poll check
-/// requires every such loop to reach this, LoadNode, or a waiver.
+/// for query loops that do page I/O without going through RTree::ScanNode
+/// or LoadNode (which poll per node on their own): tsss_lint's deadline-poll
+/// check requires every such loop to reach this, one of those, or a waiver.
 inline Status PollExecControl() {
   ExecControl* control = CurrentExecControl();
   if (control == nullptr) return Status::OK();

@@ -504,7 +504,7 @@ Result<std::vector<Match>> SearchEngine::Knn(std::span<const double> query,
     if (!es.ok()) return es;
     for (const index::RecordId record : expanded) {
       ++candidates_seen;
-      // The outer loop polls via it.Next() → LoadNode, but one trail hit
+      // The outer loop polls via it.Next() → ScanNode, but one trail hit
       // can expand into many window reads; poll per data page so wide
       // expansions stay responsive too (tsss_lint: deadline-poll).
       Status s = PollExecControl();

@@ -15,12 +15,29 @@ double ClosestParamOnLine(std::span<const double> q, const Line& line) {
 
 double Pld(std::span<const double> q, const Line& line) {
   TSSS_DCHECK(q.size() == line.dim());
-  const double t = ClosestParamOnLine(q, line);
+  // TSSS_HOT_BEGIN(pld) — the leaf test of Theorem 2, run for every point
+  // entry a query reads. The same operations in the same order as
+  // Distance(q, line.At(ClosestParamOnLine(q, line))), with no temporaries.
+  const std::size_t n = q.size();
+  double dd = 0.0;
+  for (std::size_t i = 0; i < n; ++i) dd += line.dir[i] * line.dir[i];
+  double t = 0.0;
+  if (dd > 0.0) {
+    double wd = 0.0;
+    for (std::size_t i = 0; i < n; ++i) wd += (q[i] - line.point[i]) * line.dir[i];
+    t = wd / dd;
+  }
   TSSS_DCHECK_FINITE(t);
-  const Vec closest = line.At(t);
-  const double dist = Distance(q, closest);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double closest = t * line.dir[i] + line.point[i];
+    const double d = q[i] - closest;
+    acc += d * d;
+  }
+  const double dist = std::sqrt(acc);
   TSSS_DCHECK_FINITE(dist);
   return dist;
+  // TSSS_HOT_END(pld)
 }
 
 LinePair ClosestBetweenLines(const Line& a, const Line& b) {

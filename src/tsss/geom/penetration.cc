@@ -3,34 +3,37 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <vector>
 
 #include "tsss/common/check.h"
-#include "tsss/geom/sphere.h"
 
 namespace tsss::geom {
 
 SlabResult LineMbrSlab(const Line& line, const Mbr& mbr) {
-  TSSS_DCHECK(line.dim() == mbr.dim());
+  if (mbr.empty()) return SlabResult{};
+  return LineMbrSlab(line, mbr.lo(), mbr.hi(), 0.0);
+}
+
+SlabResult LineMbrSlab(const Line& line, std::span<const double> lo,
+                       std::span<const double> hi, double pad) {
+  TSSS_DCHECK(line.dim() == lo.size() && lo.size() == hi.size());
   SlabResult out;
-  if (mbr.empty()) return out;
 
   // TSSS_HOT_BEGIN(penetration_slab) — the EP penetration test; executed for
   // every R-tree entry the traversal touches.
   double t_enter = -std::numeric_limits<double>::infinity();
   double t_exit = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < mbr.dim(); ++i) {
+  for (std::size_t i = 0; i < lo.size(); ++i) {
     const double p = line.point[i];
     const double d = line.dir[i];
-    const double lo = mbr.lo()[i];
-    const double hi = mbr.hi()[i];
+    const double box_lo = lo[i] - pad;
+    const double box_hi = hi[i] + pad;
     if (d == 0.0) {
       // The line is parallel to this slab; it must already be inside it.
-      if (p < lo || p > hi) return out;
+      if (p < box_lo || p > box_hi) return out;
       continue;
     }
-    double t0 = (lo - p) / d;
-    double t1 = (hi - p) / d;
+    double t0 = (box_lo - p) / d;
+    double t1 = (box_hi - p) / d;
     if (t0 > t1) std::swap(t0, t1);
     t_enter = std::max(t_enter, t0);
     t_exit = std::min(t_exit, t1);
@@ -50,16 +53,17 @@ bool LinePenetratesMbr(const Line& line, const Mbr& mbr) {
 namespace {
 
 /// Squared distance from the line point at parameter t to the box.
-double BoxDistSquaredAt(const Line& line, const Mbr& mbr, double t) {
+double BoxDistSquaredAt(const Line& line, std::span<const double> lo,
+                        std::span<const double> hi, double t) {
   // TSSS_HOT_BEGIN(penetration_box_dist)
   double acc = 0.0;
-  for (std::size_t i = 0; i < mbr.dim(); ++i) {
+  for (std::size_t i = 0; i < lo.size(); ++i) {
     const double x = line.point[i] + t * line.dir[i];
     double d = 0.0;
-    if (x < mbr.lo()[i]) {
-      d = mbr.lo()[i] - x;
-    } else if (x > mbr.hi()[i]) {
-      d = x - mbr.hi()[i];
+    if (x < lo[i]) {
+      d = lo[i] - x;
+    } else if (x > hi[i]) {
+      d = x - hi[i];
     }
     acc += d * d;
   }
@@ -69,19 +73,20 @@ double BoxDistSquaredAt(const Line& line, const Mbr& mbr, double t) {
 
 /// Unconstrained minimiser of the quadratic piece of f(t) whose active set is
 /// determined at `t_probe`; returns false when the piece is constant in t.
-bool PieceVertex(const Line& line, const Mbr& mbr, double t_probe, double* t_out) {
+bool PieceVertex(const Line& line, std::span<const double> lo,
+                 std::span<const double> hi, double t_probe, double* t_out) {
   double a = 0.0;  // sum of d_i^2 over active axes
   double b = 0.0;  // f'(t)/2 = a*t + b on this piece
-  for (std::size_t i = 0; i < mbr.dim(); ++i) {
+  for (std::size_t i = 0; i < lo.size(); ++i) {
     const double d = line.dir[i];
     if (d == 0.0) continue;
     const double x = line.point[i] + t_probe * d;
-    if (x < mbr.lo()[i]) {
+    if (x < lo[i]) {
       a += d * d;
-      b += d * (line.point[i] - mbr.lo()[i]);
-    } else if (x > mbr.hi()[i]) {
+      b += d * (line.point[i] - lo[i]);
+    } else if (x > hi[i]) {
       a += d * d;
-      b += d * (line.point[i] - mbr.hi()[i]);
+      b += d * (line.point[i] - hi[i]);
     }
   }
   if (a <= 0.0) return false;
@@ -92,65 +97,58 @@ bool PieceVertex(const Line& line, const Mbr& mbr, double t_probe, double* t_out
 }  // namespace
 
 double LineMbrDistance(const Line& line, const Mbr& mbr) {
-  TSSS_DCHECK(line.dim() == mbr.dim());
   if (mbr.empty()) return std::numeric_limits<double>::infinity();
+  Vec scratch(2 * mbr.dim());
+  return LineMbrDistance(line, mbr.lo(), mbr.hi(), scratch);
+}
 
-  // Degenerate line: point-to-box distance.
-  if (IsZero(line.dir, 0.0)) {
-    return std::sqrt(mbr.DistanceSquaredTo(line.point));
-  }
+double LineMbrDistance(const Line& line, std::span<const double> lo,
+                       std::span<const double> hi, std::span<double> scratch) {
+  TSSS_DCHECK(line.dim() == lo.size() && lo.size() == hi.size());
+  TSSS_DCHECK(scratch.size() >= 2 * lo.size());
+
+  // TSSS_HOT_BEGIN(penetration_line_box_dist)
+  // Degenerate line: point-to-box distance (L(0) is the point itself).
+  if (IsZero(line.dir, 0.0)) return std::sqrt(BoxDistSquaredAt(line, lo, hi, 0.0));
 
   // If the line passes through the box the distance is exactly zero.
-  if (LinePenetratesMbr(line, mbr)) return 0.0;
+  if (LineMbrSlab(line, lo, hi, 0.0).penetrates) return 0.0;
 
   // Collect the breakpoints where some coordinate of L(t) crosses a face
   // plane; between consecutive breakpoints f(t) = dist^2(L(t), box) is a
-  // single quadratic.
-  std::vector<double> ts;
-  ts.reserve(2 * mbr.dim());
-  for (std::size_t i = 0; i < mbr.dim(); ++i) {
+  // single quadratic. The direction is non-zero, so there are at least two.
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < lo.size(); ++i) {
     const double d = line.dir[i];
     if (d == 0.0) continue;
-    ts.push_back((mbr.lo()[i] - line.point[i]) / d);
-    ts.push_back((mbr.hi()[i] - line.point[i]) / d);
+    scratch[count++] = (lo[i] - line.point[i]) / d;
+    scratch[count++] = (hi[i] - line.point[i]) / d;
   }
+  const std::span<double> ts = scratch.first(count);
   std::sort(ts.begin(), ts.end());
 
   double best = std::numeric_limits<double>::infinity();
-  auto consider = [&](double t) { best = std::min(best, BoxDistSquaredAt(line, mbr, t)); };
+  auto consider = [&](double t) {
+    best = std::min(best, BoxDistSquaredAt(line, lo, hi, t));
+  };
+  auto consider_vertex = [&](double t_probe, double t_lo, double t_hi) {
+    double vertex;
+    if (PieceVertex(line, lo, hi, t_probe, &vertex)) {
+      consider(std::clamp(vertex, t_lo, t_hi));
+    }
+  };
 
   // Candidate minimisers: every breakpoint, plus each piece's own vertex
   // (clamped into the piece).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   for (double t : ts) consider(t);
-  for (std::size_t k = 0; k + 1 <= ts.size(); ++k) {
-    double t_lo;
-    double t_hi;
-    double t_probe;
-    if (k == 0) {
-      t_lo = -std::numeric_limits<double>::infinity();
-      t_hi = ts.front();
-      t_probe = t_hi - 1.0;
-    } else if (k == ts.size()) {
-      break;
-    } else {
-      t_lo = ts[k - 1];
-      t_hi = ts[k];
-      t_probe = 0.5 * (t_lo + t_hi);
-    }
-    double vertex;
-    if (PieceVertex(line, mbr, t_probe, &vertex)) {
-      consider(std::clamp(vertex, t_lo, t_hi));
-    }
+  consider_vertex(ts.front() - 1.0, -kInf, ts.front());
+  for (std::size_t k = 1; k < ts.size(); ++k) {
+    consider_vertex(0.5 * (ts[k - 1] + ts[k]), ts[k - 1], ts[k]);
   }
-  // Last (unbounded above) piece.
-  {
-    const double t_probe = ts.back() + 1.0;
-    double vertex;
-    if (PieceVertex(line, mbr, t_probe, &vertex)) {
-      consider(std::max(vertex, ts.back()));
-    }
-  }
+  consider_vertex(ts.back() + 1.0, ts.back(), kInf);
   return std::sqrt(best);
+  // TSSS_HOT_END(penetration_line_box_dist)
 }
 
 std::string_view PruneStrategyToString(PruneStrategy s) {
@@ -167,40 +165,63 @@ std::string_view PruneStrategyToString(PruneStrategy s) {
 
 bool ShouldVisit(const Line& line, const Mbr& mbr, double eps,
                  PruneStrategy strategy, PenetrationStats* stats) {
+  if (mbr.empty()) {
+    if (stats != nullptr) ++stats->tests;
+    return false;
+  }
+  Vec scratch(2 * mbr.dim());
+  return ShouldVisit(line, mbr.lo(), mbr.hi(), eps, strategy, stats, scratch);
+}
+
+bool ShouldVisit(const Line& line, std::span<const double> lo,
+                 std::span<const double> hi, double eps, PruneStrategy strategy,
+                 PenetrationStats* stats, std::span<double> scratch) {
   TSSS_DCHECK(eps >= 0.0);
+  TSSS_DCHECK(scratch.size() >= 2 * lo.size());
   if (stats != nullptr) ++stats->tests;
-  if (mbr.empty()) return false;
 
   bool visit = false;
   switch (strategy) {
     case PruneStrategy::kEepOnly: {
       if (stats != nullptr) ++stats->slab_tests;
-      visit = LinePenetratesMbr(line, mbr.Enlarged(eps));
+      visit = LineMbrSlab(line, lo, hi, eps).penetrates;
       break;
     }
     case PruneStrategy::kBoundingSpheres: {
-      const Mbr enlarged = mbr.Enlarged(eps);
+      // Centre, half diagonal and smallest half extent of the eps-MBR
+      // [lo - eps, hi + eps], as Mbr::Enlarged(eps) would give them.
+      const std::span<double> center = scratch.first(lo.size());
+      double half_diag_sq = 0.0;
+      double min_half = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < lo.size(); ++i) {
+        const double box_lo = lo[i] - eps;
+        const double box_hi = hi[i] + eps;
+        center[i] = 0.5 * (box_lo + box_hi);
+        const double half = 0.5 * (box_hi - box_lo);
+        half_diag_sq += half * half;
+        min_half = std::min(min_half, half);
+      }
       if (stats != nullptr) ++stats->sphere_tests;
-      const double pld = Pld(enlarged.Center(), line);
-      if (pld > enlarged.HalfDiagonal()) {
+      const double pld = Pld(center, line);
+      if (pld > std::sqrt(half_diag_sq)) {
         // Outer sphere missed: the box cannot be penetrated.
         if (stats != nullptr) ++stats->outer_rejects;
         visit = false;
         break;
       }
-      if (pld <= enlarged.MinHalfExtent()) {
+      if (pld <= min_half) {
         // Inner sphere hit: the box is certainly penetrated.
         if (stats != nullptr) ++stats->inner_accepts;
         visit = true;
         break;
       }
       if (stats != nullptr) ++stats->slab_tests;
-      visit = LinePenetratesMbr(line, enlarged);
+      visit = LineMbrSlab(line, lo, hi, eps).penetrates;
       break;
     }
     case PruneStrategy::kExactDistance: {
       if (stats != nullptr) ++stats->exact_tests;
-      visit = LineMbrDistance(line, mbr) <= eps;
+      visit = LineMbrDistance(line, lo, hi, scratch) <= eps;
       break;
     }
   }

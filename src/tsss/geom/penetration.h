@@ -2,6 +2,7 @@
 #define TSSS_GEOM_PENETRATION_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "tsss/geom/line.h"
@@ -22,6 +23,13 @@ struct SlabResult {
 /// A degenerate line (zero direction) penetrates iff its point is inside.
 SlabResult LineMbrSlab(const Line& line, const Mbr& mbr);
 
+/// Corner form of LineMbrSlab over the box [lo - pad, hi + pad], with the
+/// pad applied exactly as Mbr::Enlarged(pad) applies it. This is the one
+/// body of the slab test; it allocates nothing, so the query read path can
+/// run it on coordinates copied out of a pinned node page.
+SlabResult LineMbrSlab(const Line& line, std::span<const double> lo,
+                       std::span<const double> hi, double pad);
+
 /// Convenience wrapper returning only the boolean verdict.
 bool LinePenetratesMbr(const Line& line, const Mbr& mbr);
 
@@ -30,6 +38,12 @@ bool LinePenetratesMbr(const Line& line, const Mbr& mbr);
 /// quadratic in t; we scan its breakpoint segments and minimise each piece
 /// analytically, so the result is exact up to rounding.
 double LineMbrDistance(const Line& line, const Mbr& mbr);
+
+/// Corner form of LineMbrDistance: the one body of the distance. The
+/// breakpoints go to `scratch`, which must hold at least 2 * dim doubles, so
+/// the call allocates nothing.
+double LineMbrDistance(const Line& line, std::span<const double> lo,
+                       std::span<const double> hi, std::span<double> scratch);
 
 /// Node-pruning strategies for the tree search. These correspond to the
 /// paper's experiment sets plus one extension:
@@ -65,6 +79,13 @@ struct PenetrationStats {
 /// (no false dismissals, Theorem 3). `stats` may be null.
 bool ShouldVisit(const Line& line, const Mbr& mbr, double eps,
                  PruneStrategy strategy, PenetrationStats* stats);
+
+/// Corner form of ShouldVisit for a non-empty box [lo, hi]: the same
+/// decision, counters and arithmetic, with no allocation. `scratch` must
+/// hold at least 2 * dim doubles (the sphere centre or the breakpoints).
+bool ShouldVisit(const Line& line, std::span<const double> lo,
+                 std::span<const double> hi, double eps, PruneStrategy strategy,
+                 PenetrationStats* stats, std::span<double> scratch);
 
 }  // namespace tsss::geom
 

@@ -8,7 +8,9 @@ namespace tsss::index {
 
 RTree::LineNeighborIterator::LineNeighborIterator(const RTree* tree,
                                                   geom::Line line)
-    : tree_(tree), line_(std::move(line)) {
+    : tree_(tree),
+      line_(std::move(line)),
+      scratch_(4 * tree->config().dim) {
   QueueItem root_item;
   root_item.distance = 0.0;
   root_item.is_record = false;
@@ -24,28 +26,37 @@ Result<std::optional<LineMatch>> RTree::LineNeighborIterator::Next() {
       obs::TickLeafCandidates();
       return std::optional<LineMatch>(item.match);
     }
-    Result<Node> node = tree_->LoadNode(item.page);
-    if (!node.ok()) return node.status();
-    obs::TickNodeVisit(node->level);
-    for (const Entry& e : node->entries) {
-      QueueItem child;
-      if (node->is_leaf()) {
-        child.is_record = true;
-        if (tree_->config().box_leaves) {
-          obs::TickMbrDistanceEvals();
-          child.distance = geom::LineMbrDistance(line_, e.mbr);
+    const std::size_t dim = tree_->config().dim;
+    const std::span<double> lo(scratch_.data(), dim);
+    const std::span<double> hi(scratch_.data() + dim, dim);
+    const std::span<double> work(scratch_.data() + 2 * dim, 2 * dim);
+    const bool box_leaves = tree_->config().box_leaves;
+    std::uint16_t level = 0;
+    Status s = tree_->ScanNode(item.page, [&](const NodeView& node) {
+      level = node.level();
+      for (std::size_t k = 0; k < node.size(); ++k) {
+        node.Corners(k, lo, hi);
+        QueueItem child;
+        if (node.is_leaf()) {
+          child.is_record = true;
+          if (box_leaves) {
+            obs::TickMbrDistanceEvals();
+            child.distance = geom::LineMbrDistance(line_, lo, hi, work);
+          } else {
+            child.distance = geom::Pld(lo, line_);
+          }
+          child.match = LineMatch{node.record(k), child.distance};
         } else {
-          child.distance = geom::Pld(e.mbr.lo(), line_);
+          child.is_record = false;
+          child.page = node.child(k);
+          obs::TickMbrDistanceEvals();
+          child.distance = geom::LineMbrDistance(line_, lo, hi, work);
         }
-        child.match = LineMatch{e.record, child.distance};
-      } else {
-        child.is_record = false;
-        child.page = e.child;
-        obs::TickMbrDistanceEvals();
-        child.distance = geom::LineMbrDistance(line_, e.mbr);
+        heap_.push(child);
       }
-      heap_.push(child);
-    }
+    });
+    if (!s.ok()) return s;
+    obs::TickNodeVisit(level);
   }
   return std::optional<LineMatch>();
 }

@@ -110,18 +110,18 @@ Status NodeCodec::EncodePart(std::uint16_t level, std::span<const Entry> entries
   return Status::OK();
 }
 
-Result<NodePart> NodeCodec::DecodePart(const storage::Page& page) const {
+Result<NodeView> NodeCodec::View(const storage::Page& page) const {
   Reader r(&page);
   const std::uint16_t magic = r.Get<std::uint16_t>();
   if (magic != kMagic) {
     return Status::Corruption("bad node magic " + std::to_string(magic));
   }
-  NodePart part;
-  part.level = r.Get<std::uint16_t>();
+  NodeView view;
+  view.level_ = r.Get<std::uint16_t>();
   const std::uint16_t count = r.Get<std::uint16_t>();
   const std::uint16_t dim = r.Get<std::uint16_t>();
   const std::uint16_t flags = r.Get<std::uint16_t>();
-  part.next = r.Get<std::uint32_t>();
+  view.next_ = r.Get<std::uint32_t>();
   if ((flags & kFlagBoxLeaves) != (box_leaves_ ? kFlagBoxLeaves : 0)) {
     return Status::Corruption("node leaf-layout flag does not match codec");
   }
@@ -129,46 +129,69 @@ Result<NodePart> NodeCodec::DecodePart(const storage::Page& page) const {
     return Status::Corruption("node dim " + std::to_string(dim) +
                               " does not match codec dim " + std::to_string(dim_));
   }
-  const bool is_leaf = part.level == 0;
+  const bool is_leaf = view.level_ == 0;
   const std::size_t cap = is_leaf ? max_leaf_ : max_internal_;
   if (count > cap) {
     return Status::Corruption("node entry count " + std::to_string(count) +
                               " exceeds capacity " + std::to_string(cap));
   }
-  part.entries.reserve(count);
-  geom::Vec lo(dim_);
-  geom::Vec hi(dim_);
-  for (std::uint16_t k = 0; k < count; ++k) {
-    Entry e;
-    const bool has_box = !is_leaf || box_leaves_;
-    if (is_leaf) {
-      e.record = r.Get<std::uint64_t>();
-    } else {
-      e.child = r.Get<std::uint32_t>();
-    }
-    for (std::size_t i = 0; i < dim_; ++i) lo[i] = r.Get<double>();
-    if (has_box) {
-      for (std::size_t i = 0; i < dim_; ++i) hi[i] = r.Get<double>();
-    }
-    // The coordinates come straight from an untrusted page image; validate
-    // them here so corruption surfaces as a Status instead of tripping the
-    // Mbr invariant checks (no NaN/inf, lo <= hi) further in - in checked
-    // builds those abort, which would turn bad bytes into a crash.
+  view.entries_ = page.bytes.data() + kHeaderBytes;
+  view.entry_bytes_ =
+      is_leaf ? LeafEntryBytes(dim_, box_leaves_) : InternalEntryBytes(dim_);
+  view.id_bytes_ = is_leaf ? sizeof(std::uint64_t) : sizeof(std::uint32_t);
+  view.dim_ = dim_;
+  view.count_ = count;
+  view.has_box_ = !is_leaf || box_leaves_;
+
+  // The coordinates come straight from an untrusted page image; validate
+  // them all here so corruption surfaces as a Status before any reader sees
+  // the node, instead of tripping the Mbr invariant checks (no NaN/inf,
+  // lo <= hi) further in - in checked builds those abort, which would turn
+  // bad bytes into a crash.
+  for (std::size_t k = 0; k < view.count_; ++k) {
+    const std::uint8_t* lo = view.EntryAt(k) + view.id_bytes_;
+    const std::uint8_t* hi = view.has_box_ ? lo + dim_ * sizeof(double) : lo;
     for (std::size_t i = 0; i < dim_; ++i) {
-      if (!std::isfinite(lo[i]) || (has_box && !std::isfinite(hi[i]))) {
+      const double l = NodeView::Load<double>(lo + i * sizeof(double));
+      const double h = NodeView::Load<double>(hi + i * sizeof(double));
+      if (!std::isfinite(l) || !std::isfinite(h)) {
         return Status::Corruption("node entry " + std::to_string(k) +
                                   " has a non-finite coordinate");
       }
-      if (has_box && lo[i] > hi[i]) {
+      if (l > h) {
         return Status::Corruption("node entry " + std::to_string(k) +
                                   " has an inverted box (lo > hi) in dim " +
                                   std::to_string(i));
       }
     }
-    e.mbr = has_box ? geom::Mbr::FromCorners(lo, hi)
-                    : geom::Mbr::FromCorners(lo, lo);
-    part.entries.push_back(std::move(e));
   }
+  return view;
+}
+
+void NodeView::AppendEntries(std::vector<Entry>* out) const {
+  out->reserve(out->size() + count_);
+  for (std::size_t k = 0; k < count_; ++k) {
+    geom::Vec lo(dim_);
+    geom::Vec hi(dim_);
+    Corners(k, lo, hi);
+    Entry e;
+    if (is_leaf()) {
+      e.record = record(k);
+    } else {
+      e.child = child(k);
+    }
+    e.mbr = geom::Mbr::FromCorners(std::move(lo), std::move(hi));
+    out->push_back(std::move(e));
+  }
+}
+
+Result<NodePart> NodeCodec::DecodePart(const storage::Page& page) const {
+  Result<NodeView> view = View(page);
+  if (!view.ok()) return view.status();
+  NodePart part;
+  part.level = view->level();
+  part.next = view->next();
+  view->AppendEntries(&part.entries);
   return part;
 }
 

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "tsss/common/status.h"
@@ -58,6 +60,69 @@ struct NodePart {
   std::vector<Entry> entries;
 };
 
+/// Read-only view of one node page, read in place: the query read path's
+/// alternative to decoding the page into a NodePart.
+///
+/// NodeCodec::View validates the header and every coordinate before it
+/// hands out a view, so a view only ever describes a well-formed page (the
+/// same pages DecodePart accepts). The view borrows the page bytes and owns
+/// nothing; it is valid only while the page stays pinned, so bind it from a
+/// named PageGuard and let it die with the guard's scope.
+class NodeView {
+ public:
+  std::uint16_t level() const { return level_; }
+  bool is_leaf() const { return level_ == 0; }
+  /// Next page of a supernode chain, or kInvalidPageId.
+  storage::PageId next() const { return next_; }
+  std::size_t size() const { return count_; }
+
+  /// Child page of entry k (internal nodes).
+  storage::PageId child(std::size_t k) const {
+    return Load<storage::PageId>(EntryAt(k));
+  }
+  /// Record id of entry k (leaf nodes).
+  RecordId record(std::size_t k) const { return Load<RecordId>(EntryAt(k)); }
+
+  /// Copies entry k's box into `lo` and `hi` (each dim doubles). A point
+  /// entry yields lo == hi. The coordinates sit at unaligned offsets, hence
+  /// the copy into caller scratch rather than a span over the page.
+  void Corners(std::size_t k, std::span<double> lo, std::span<double> hi) const {
+    // TSSS_HOT_BEGIN(node_view_corners) — once per entry a query reads.
+    const std::uint8_t* at = EntryAt(k) + id_bytes_;
+    const std::size_t bytes = dim_ * sizeof(double);
+    std::memcpy(lo.data(), at, bytes);
+    std::memcpy(hi.data(), has_box_ ? at + bytes : at, bytes);
+    // TSSS_HOT_END(node_view_corners)
+  }
+
+  /// Decodes every entry into owned form, appended to `out` (the write
+  /// path's Node; DecodePart and RTree::LoadNode both end here).
+  void AppendEntries(std::vector<Entry>* out) const;
+
+ private:
+  friend class NodeCodec;
+  NodeView() = default;
+
+  const std::uint8_t* EntryAt(std::size_t k) const {
+    return entries_ + k * entry_bytes_;
+  }
+  template <typename T>
+  static T Load(const std::uint8_t* at) {
+    T value;
+    std::memcpy(&value, at, sizeof(T));
+    return value;
+  }
+
+  const std::uint8_t* entries_ = nullptr;
+  std::size_t entry_bytes_ = 0;
+  std::size_t id_bytes_ = 0;  ///< child (u32) or record (u64) before the box
+  std::size_t dim_ = 0;
+  std::size_t count_ = 0;
+  storage::PageId next_ = storage::kInvalidPageId;
+  std::uint16_t level_ = 0;
+  bool has_box_ = false;
+};
+
 /// Fixed-layout serializer between Node parts and 4 KiB pages.
 ///
 /// Layout (little-endian, host representation for doubles):
@@ -97,6 +162,11 @@ class NodeCodec {
 
   /// Deserializes one chain part.
   Result<NodePart> DecodePart(const storage::Page& page) const;
+
+  /// Validates one chain part in place and returns a view over `page`,
+  /// without copying it. Accepts and rejects exactly the pages DecodePart
+  /// does, with the same Status. The view is valid while `page` is pinned.
+  Result<NodeView> View(const storage::Page& page) const;
 
  private:
   std::size_t dim_;

@@ -6,8 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "tsss/common/exec_control.h"
-
 namespace tsss::index {
 
 namespace {
@@ -109,35 +107,12 @@ Result<std::unique_ptr<RTree>> RTree::Attach(storage::BufferPool* pool,
 }
 
 Result<Node> RTree::LoadNode(storage::PageId id) const {
-  // Cooperative cancellation: the query service bounds requests with a
-  // deadline; one check per node keeps the granularity coarse enough to be
-  // free and fine enough that a runaway query unwinds promptly.
-  if (const ExecControl* control = CurrentExecControl()) {
-    Status s = control->Check();
-    if (!s.ok()) return s;
-  }
   Node node;
-  storage::PageId cur = id;
-  bool first = true;
-  while (cur != storage::kInvalidPageId) {
-    Result<storage::PageGuard> guard = pool_->Fetch(cur);
-    if (!guard.ok()) return guard.status();
-    Result<NodePart> part = codec_.DecodePart(guard->page());
-    if (!part.ok()) return part.status();
-    if (first) {
-      node.level = part->level;
-      node.entries = std::move(part->entries);
-      first = false;
-    } else {
-      if (part->level != node.level) {
-        return Status::Corruption("supernode chain mixes levels");
-      }
-      node.entries.insert(node.entries.end(),
-                          std::make_move_iterator(part->entries.begin()),
-                          std::make_move_iterator(part->entries.end()));
-    }
-    cur = part->next;
-  }
+  Status s = ScanNode(id, [&node](const NodeView& view) {
+    node.level = view.level();
+    view.AppendEntries(&node.entries);
+  });
+  if (!s.ok()) return s;
   return node;
 }
 
@@ -148,9 +123,9 @@ Result<std::vector<storage::PageId>> RTree::ChainPages(storage::PageId id) {
     chain.push_back(cur);
     Result<storage::PageGuard> guard = pool_->Fetch(cur);
     if (!guard.ok()) return guard.status();
-    Result<NodePart> part = codec_.DecodePart(guard->page());
-    if (!part.ok()) return part.status();
-    cur = part->next;
+    Result<NodeView> view = codec_.View(guard->page());
+    if (!view.ok()) return view.status();
+    cur = view->next();
     if (chain.size() > 1u << 20) {
       return Status::Corruption("supernode chain cycle suspected");
     }

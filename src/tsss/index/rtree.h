@@ -8,6 +8,7 @@
 #include <queue>
 #include <vector>
 
+#include "tsss/common/exec_control.h"
 #include "tsss/common/status.h"
 #include "tsss/geom/line.h"
 #include "tsss/geom/mbr.h"
@@ -227,6 +228,9 @@ class RTree {
 
     const RTree* tree_;
     geom::Line line_;
+    /// Entry corners and LineMbrDistance breakpoints, sized once per
+    /// iterator (4 * dim) so Next() allocates nothing per entry.
+    geom::Vec scratch_;
     std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> heap_;
   };
   LineNeighborIterator NearestLineNeighbors(const geom::Line& line) const;
@@ -277,9 +281,15 @@ class RTree {
     std::size_t index_in_parent = 0;
   };
 
-  /// Loads a node, following supernode chain pages (each counted). Const and
-  /// concurrency-safe: reads only immutable tree state plus the internally
-  /// synchronized pool. Polls the thread's ExecControl (deadline/cancel).
+  /// The read path's node walk: polls the thread's ExecControl (deadline/
+  /// cancel) once, then pins each page of the node's supernode chain in turn
+  /// (each counted) and calls `fn(const NodeView&)` while that page is
+  /// pinned. The view must not escape `fn`. Const and concurrency-safe:
+  /// reads only immutable tree state plus the internally synchronized pool.
+  template <typename Fn>
+  Status ScanNode(storage::PageId id, Fn&& fn) const;
+  /// Loads a node into owned form (the write path and whole-tree walks);
+  /// ScanNode with every entry decoded.
   Result<Node> LoadNode(storage::PageId id) const;
   /// Stores a node, growing or shrinking its chain as needed.
   Status StoreNode(storage::PageId id, const Node& node);
@@ -343,6 +353,30 @@ class RTree {
   std::size_t size_ = 0;
   std::size_t height_ = 1;
 };
+
+template <typename Fn>
+Status RTree::ScanNode(storage::PageId id, Fn&& fn) const {
+  // Cooperative cancellation: the query service bounds requests with a
+  // deadline; one check per node keeps the granularity coarse enough to be
+  // free and fine enough that a runaway query unwinds promptly.
+  Status polled = PollExecControl();
+  if (!polled.ok()) return polled;
+  std::optional<std::uint16_t> level;
+  storage::PageId cur = id;
+  while (cur != storage::kInvalidPageId) {
+    Result<storage::PageGuard> guard = pool_->Fetch(cur);
+    if (!guard.ok()) return guard.status();
+    Result<NodeView> view = codec_.View(guard->page());
+    if (!view.ok()) return view.status();
+    if (level.has_value() && *level != view->level()) {
+      return Status::Corruption("supernode chain mixes levels");
+    }
+    level = view->level();
+    fn(*view);
+    cur = view->next();
+  }
+  return Status::OK();
+}
 
 /// Publishes the headline numbers of `stats` as tsss_tree_* gauges in the
 /// global MetricsRegistry (height, nodes, entries, supernodes, occupancy and

@@ -50,10 +50,10 @@ std::uint64_t ThreadCpuNowUs();
 ///   RecordQueryCost("kind", "range", cost)  -> tsss_query_cost_*{kind="range"}
 ///   RecordQueryCost("shard", "3", cost)     -> tsss_query_cost_*{shard="3"}
 /// CPU time lands in a tsss_query_cost_cpu histogram (p50/p90/p99 over
-/// queries); pages/bytes/candidates land in monotonic counters. Metric
-/// pointers are resolved through the registry each call (a mutex-guarded map
-/// lookup) — callers on a per-query cadence, not per-candidate, so this is
-/// off the hot path.
+/// queries); pages/bytes/candidates land in monotonic counters. Each thread
+/// resolves a label pair's metrics through the registry once and keeps the
+/// pointers (up to 16 pairs per thread), so a steady-state call takes no
+/// lock and does no map lookup.
 void RecordQueryCost(const std::string& label_key,
                      const std::string& label_value, const QueryCost& cost);
 

@@ -148,9 +148,9 @@ BufferPool::~BufferPool() {
 }
 
 void BufferPool::TouchLru(Shard& shard, Frame* frame) {
-  shard.lru.erase(frame->lru_pos);
-  shard.lru.push_front(frame->id);
-  frame->lru_pos = shard.lru.begin();
+  // Relinks the frame's list node in place: a cache hit allocates nothing,
+  // and lru_pos stays valid.
+  shard.lru.splice(shard.lru.begin(), shard.lru, frame->lru_pos);
 }
 
 Result<PageGuard> BufferPool::Fetch(PageId id) {

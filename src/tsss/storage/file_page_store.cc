@@ -147,7 +147,8 @@ Result<std::unique_ptr<PageStore>> FilePageStore::Create(
   const int fd =
       ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
   if (fd < 0) return Status::IoError("cannot create page file '" + path + "'");
-  std::unique_ptr<PageStore> store(new FilePageStore(path, fd, {}, {}));
+  std::unique_ptr<PageStore> store(
+      new FilePageStore(path, fd, {}, {}, /*durable=*/false));
   Status s = store->Sync();
   if (!s.ok()) return s;
   return store;
@@ -167,7 +168,8 @@ Result<std::unique_ptr<PageStore>> FilePageStore::Open(
     return s;
   }
   return std::unique_ptr<PageStore>(
-      new FilePageStore(path, fd, std::move(live), std::move(crc)));
+      new FilePageStore(path, fd, std::move(live), std::move(crc),
+                        /*durable=*/true));
 }
 
 Status FilePageStore::ReadPage(PageId id, Page* out) {
@@ -195,7 +197,7 @@ Status FilePageStore::WritePage(PageId id, const Page& page) {
   return Status::OK();
 }
 
-Status FilePageStore::Sync() {
+Status FilePageStore::SyncVolume() {
   if (::fdatasync(fd_) != 0) {
     return Status::IoError("fdatasync of '" + path_ + "' failed: " +
                            ErrnoText());

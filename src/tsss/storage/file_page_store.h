@@ -22,7 +22,8 @@ namespace tsss::storage {
 /// page's CRC slot is touched only by that page's reads and writes.
 ///
 /// Durability model: Sync() fdatasyncs the page file, then rewrites and
-/// fdatasyncs the metadata; the destructor calls it best-effort. Crash
+/// fdatasyncs the metadata; the destructor calls it best-effort. A volume
+/// nobody changed since it was opened or last synced is left untouched. Crash
 /// atomicity (journaling) is out of scope - this store exists to persist
 /// built indexes and to keep the I/O path honest, not to be a transactional
 /// engine.
@@ -36,20 +37,21 @@ class FilePageStore final : public PageStore {
 
   ~FilePageStore() override;
 
-  /// Persists metadata (allocation state + checksums) and the page file.
-  Status Sync() override;
-
  private:
-  /// Takes ownership of `fd`; `live` and `crc` describe its pages.
+  /// Takes ownership of `fd`; `live` and `crc` describe its pages, which
+  /// are `durable` when they were just loaded from the sidecar.
   FilePageStore(std::string path, int fd, std::vector<bool> live,
-                std::vector<std::uint32_t> crc)
-      : PageStore(std::move(live)),
+                std::vector<std::uint32_t> crc, bool durable)
+      : PageStore(std::move(live), durable),
         path_(std::move(path)),
         fd_(fd),
         crc_(std::move(crc)) {}
 
   Status ReadPage(PageId id, Page* out) override;
   Status WritePage(PageId id, const Page& page) override;
+  /// Persists the page file, then the metadata (allocation state and
+  /// checksums).
+  Status SyncVolume() override;
   std::string MetaPath() const { return path_ + ".meta"; }
 
   std::string path_;

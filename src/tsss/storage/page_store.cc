@@ -5,7 +5,8 @@
 
 namespace tsss::storage {
 
-PageStore::PageStore(std::vector<bool> live) : live_(std::move(live)) {
+PageStore::PageStore(std::vector<bool> live, bool durable)
+    : live_(std::move(live)), dirty_(!durable) {
   for (std::size_t i = 0; i < live_.size(); ++i) {
     if (live_[i]) {
       ++live_count_;
@@ -29,6 +30,7 @@ Result<PageId> PageStore::Allocate() {
     live_.push_back(true);
   }
   ++live_count_;
+  dirty_.store(true, std::memory_order_relaxed);  // relaxed-ok: Sync is exclusive
   return id;
 }
 
@@ -45,6 +47,7 @@ Status PageStore::Free(PageId id) {
   live_[id] = false;
   free_list_.push_back(id);
   --live_count_;
+  dirty_.store(true, std::memory_order_relaxed);  // relaxed-ok: Sync is exclusive
   return Status::OK();
 }
 
@@ -59,7 +62,16 @@ Status PageStore::Write(PageId id, const Page& page) {
   Status s = CheckLive(id);
   if (!s.ok()) return s;
   ++metrics_.physical_writes;
+  dirty_.store(true, std::memory_order_relaxed);  // relaxed-ok: Sync is exclusive
   return WritePage(id, page);
+}
+
+Status PageStore::Sync() {
+  // relaxed-ok: Sync runs exclusively; writers are quiescent
+  if (!dirty_.load(std::memory_order_relaxed)) return Status::OK();
+  Status s = SyncVolume();
+  if (s.ok()) dirty_.store(false, std::memory_order_relaxed);  // relaxed-ok: exclusive
+  return s;
 }
 
 Status MemPageStore::ReadPage(PageId id, Page* out) {

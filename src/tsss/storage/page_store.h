@@ -1,6 +1,7 @@
 #ifndef TSSS_STORAGE_PAGE_STORE_H_
 #define TSSS_STORAGE_PAGE_STORE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -45,8 +46,11 @@ class PageStore {
   /// Overwrites the page. Counts one physical write.
   Status Write(PageId id, const Page& page);
 
-  /// Makes every page and the allocation state durable.
-  virtual Status Sync() = 0;
+  /// Makes every page and the allocation state durable. A volume with no
+  /// Write/Allocate/Free since its last successful Sync (or since it was
+  /// opened) is already durable: Sync returns OK without touching storage,
+  /// so a read-only user never rewrites what it did not change.
+  Status Sync();
 
   /// Number of live (allocated, not freed) pages.
   std::size_t num_live_pages() const { return live_count_; }
@@ -59,8 +63,10 @@ class PageStore {
 
  protected:
   /// `live` is the allocation state of a reopened volume (empty for a new
-  /// one); the free list and live count are rebuilt from it.
-  explicit PageStore(std::vector<bool> live = {});
+  /// one); the free list and live count are rebuilt from it. `durable` says
+  /// that state is already on stable storage, so the first Sync has nothing
+  /// to do until something changes.
+  explicit PageStore(std::vector<bool> live = {}, bool durable = false);
 
   bool IsLive(PageId id) const { return id < live_.size() && live_[id]; }
 
@@ -72,6 +78,9 @@ class PageStore {
   /// id == capacity_pages() to extend the volume by one page.
   virtual Status WritePage(PageId id, const Page& page) = 0;
 
+  /// Makes the current volume durable; called by Sync only when dirty.
+  virtual Status SyncVolume() = 0;
+
   Status CheckLive(PageId id) const;
 
   std::vector<bool> live_;
@@ -80,18 +89,20 @@ class PageStore {
   /// Atomic so concurrent readers (buffer-pool shards serving the query
   /// service) can count without racing; see AtomicPageAccessMetrics.
   AtomicPageAccessMetrics metrics_;
+  /// Set by Write/Allocate/Free, cleared by a successful Sync. Atomic
+  /// because concurrent Writes of distinct pages (buffer-pool write-back)
+  /// may set it at the same time; Sync itself is exclusive.
+  std::atomic<bool> dirty_;
 };
 
 /// In-memory page store simulating a disk volume. The store is RAM-backed;
 /// the I/O *model* (page granularity, access counting), not the medium, is
 /// what the experiments depend on.
 class MemPageStore final : public PageStore {
- public:
-  Status Sync() override { return Status::OK(); }
-
  private:
   Status ReadPage(PageId id, Page* out) override;
   Status WritePage(PageId id, const Page& page) override;
+  Status SyncVolume() override { return Status::OK(); }
 
   std::vector<std::unique_ptr<Page>> pages_;
 };

@@ -2,7 +2,12 @@
 // a "new process" (new object), and verify identical query answers plus
 // continued mutability.
 
+#include <fcntl.h>
+#include <sys/stat.h>
+
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -136,6 +141,38 @@ TEST_F(PersistenceTest, BulkBuiltEngineSurvivesReopen) {
     if (m.series == 0 && m.offset == 0) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+TEST_F(PersistenceTest, QueriesOnAReopenedIndexLeaveThePageSidecarUntouched) {
+  const auto market = Market();
+  {
+    auto engine = SearchEngine::Create(FileBackedConfig());
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->BulkBuild(market).ok());
+    ASSERT_TRUE((*engine)->Checkpoint().ok());
+  }
+  const std::string sidecar = dir_ + "/pages.tsss.meta";
+  const auto read_bytes = [&] {
+    std::ifstream in(sidecar, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+  };
+  // A past mtime makes a rewrite visible even within one clock tick.
+  const timespec past[2] = {{1000000000, 0}, {1000000000, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, sidecar.c_str(), past, 0), 0);
+  const std::vector<char> before = read_bytes();
+  {
+    auto reopened = SearchEngine::Open(dir_);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    const Vec query(market[2].values.begin() + 5, market[2].values.begin() + 21);
+    ASSERT_TRUE((*reopened)->RangeQuery(query, 0.5).ok());
+    ASSERT_TRUE((*reopened)->Knn(query, 5).ok());
+  }
+  EXPECT_EQ(read_bytes(), before);
+  struct stat st {};
+  ASSERT_EQ(::stat(sidecar.c_str(), &st), 0);
+  EXPECT_EQ(st.st_mtim.tv_sec, 1000000000);
+  EXPECT_EQ(st.st_mtim.tv_nsec, 0);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "tsss/geom/line.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -163,6 +164,26 @@ TEST(LldTest, OneDegenerateUsesPld) {
   const Line b{{0.0, 0.0}, {1.0, 0.0}};       // x-axis
   EXPECT_NEAR(Lld(a, b), 2.0, 1e-12);
   EXPECT_NEAR(Lld(b, a), 2.0, 1e-12);
+}
+
+// Pld runs without temporaries but keeps the operation order of its
+// definition, so it returns the same bits.
+TEST(PldTest, BitIdenticalToClosestPointDistance) {
+  Rng rng(31);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t dim = 1 + static_cast<std::size_t>(rng.UniformInt(0, 9));
+    Vec q(dim);
+    Line line{Vec(dim), Vec(dim)};
+    for (std::size_t i = 0; i < dim; ++i) {
+      q[i] = rng.Uniform(-10, 10);
+      line.point[i] = rng.Uniform(-10, 10);
+      line.dir[i] = trial % 9 == 0 ? 0.0 : rng.Uniform(-2, 2);
+    }
+    const double want = Distance(q, line.At(ClosestParamOnLine(q, line)));
+    const double got = Pld(q, line);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+        << "trial " << trial << ": " << got << " vs " << want;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "tsss/geom/penetration.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -215,6 +217,86 @@ TEST(ShouldVisitTest, InnerSphereAcceptIsCounted) {
                           PruneStrategy::kBoundingSpheres, &stats));
   EXPECT_EQ(stats.inner_accepts, 1u);
   EXPECT_EQ(stats.slab_tests, 0u);
+}
+
+// The corner forms are what the query read path runs on coordinates copied
+// out of a node page. They must decide exactly as the Mbr forms do on the
+// eps-MBR, including the sphere heuristic and every counter.
+TEST(CornerFormTest, MatchesMbrFormsOnRandomBoxes) {
+  Rng rng(2024);
+  constexpr PruneStrategy kStrategies[] = {PruneStrategy::kEepOnly,
+                                           PruneStrategy::kBoundingSpheres,
+                                           PruneStrategy::kExactDistance};
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t dim = 1 + static_cast<std::size_t>(rng.UniformInt(0, 7));
+    Vec lo(dim);
+    Vec hi(dim);
+    for (std::size_t i = 0; i < dim; ++i) {
+      lo[i] = rng.Uniform(-5, 5);
+      hi[i] = lo[i] + (trial % 5 == 0 ? 0.0 : rng.Uniform(0, 3));
+    }
+    const Mbr box = Mbr::FromCorners(lo, hi);
+    Line line{Vec(dim), Vec(dim)};
+    for (std::size_t i = 0; i < dim; ++i) {
+      line.point[i] = rng.Uniform(-8, 8);
+      // Some axis-parallel components, and every 7th line degenerate.
+      line.dir[i] = (trial % 7 == 0 || rng.Uniform(0, 1) < 0.2)
+                        ? 0.0
+                        : rng.Uniform(-1, 1);
+    }
+    const double eps = trial % 3 == 0 ? 0.0 : rng.Uniform(0, 2);
+    // Scratch starts as garbage: the corner forms must not read it.
+    Vec scratch(2 * dim + 3, std::numeric_limits<double>::quiet_NaN());
+
+    const SlabResult padded = LineMbrSlab(line, lo, hi, eps);
+    const SlabResult enlarged = LineMbrSlab(line, box.Enlarged(eps));
+    ASSERT_EQ(padded.penetrates, enlarged.penetrates) << "trial " << trial;
+    if (padded.penetrates) {
+      EXPECT_EQ(padded.t_enter, enlarged.t_enter);
+      EXPECT_EQ(padded.t_exit, enlarged.t_exit);
+    }
+    EXPECT_TRUE(same_bits(LineMbrDistance(line, lo, hi, scratch),
+                          LineMbrDistance(line, box)))
+        << "trial " << trial;
+
+    for (const PruneStrategy strategy : kStrategies) {
+      PenetrationStats corner_stats;
+      PenetrationStats mbr_stats;
+      const bool corner =
+          ShouldVisit(line, lo, hi, eps, strategy, &corner_stats, scratch);
+      EXPECT_EQ(corner, ShouldVisit(line, box, eps, strategy, &mbr_stats))
+          << "trial " << trial << " " << PruneStrategyToString(strategy);
+      EXPECT_EQ(corner_stats.tests, mbr_stats.tests);
+      EXPECT_EQ(corner_stats.visits, mbr_stats.visits);
+      EXPECT_EQ(corner_stats.outer_rejects, mbr_stats.outer_rejects);
+      EXPECT_EQ(corner_stats.inner_accepts, mbr_stats.inner_accepts);
+      EXPECT_EQ(corner_stats.slab_tests, mbr_stats.slab_tests);
+      EXPECT_EQ(corner_stats.sphere_tests, mbr_stats.sphere_tests);
+      EXPECT_EQ(corner_stats.exact_tests, mbr_stats.exact_tests);
+    }
+
+    // Each strategy against its definition over Mbr::Enlarged.
+    const Mbr eps_box = box.Enlarged(eps);
+    EXPECT_EQ(ShouldVisit(line, lo, hi, eps, PruneStrategy::kEepOnly, nullptr,
+                          scratch),
+              LinePenetratesMbr(line, eps_box))
+        << "trial " << trial;
+    EXPECT_EQ(ShouldVisit(line, lo, hi, eps, PruneStrategy::kExactDistance,
+                          nullptr, scratch),
+              LineMbrDistance(line, box) <= eps)
+        << "trial " << trial;
+    const double pld = Pld(Sphere::Outer(eps_box).center, line);
+    bool want = LinePenetratesMbr(line, eps_box);
+    if (pld > Sphere::Outer(eps_box).radius) want = false;
+    if (pld <= Sphere::Inner(eps_box).radius) want = true;
+    EXPECT_EQ(ShouldVisit(line, lo, hi, eps, PruneStrategy::kBoundingSpheres,
+                          nullptr, scratch),
+              want)
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

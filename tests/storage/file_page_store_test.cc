@@ -2,6 +2,9 @@
 
 #include "tsss/storage/buffer_pool.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -31,6 +34,25 @@ class FilePageStoreTest : public ::testing::Test {
 
   std::string path_;
 };
+
+std::vector<char> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
+
+/// Sets a file's mtime to a fixed past instant, so a later rewrite shows up
+/// even within the same clock tick.
+void BackdateMtime(const std::string& path) {
+  const timespec past[2] = {{1000000000, 0}, {1000000000, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), past, 0), 0);
+}
+
+timespec MtimeOf(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0);
+  return st.st_mtim;
+}
 
 TEST_F(FilePageStoreTest, CreateWriteReadBack) {
   auto store = FilePageStore::Create(path_);
@@ -279,6 +301,83 @@ TEST_F(FilePageStoreTest, FailedOpenLeavesMetadataUntouched) {
   EXPECT_EQ(read_meta(), meta);
   EXPECT_EQ(FilePageStore::Open(path_).status().code(),
             StatusCode::kCorruption);
+}
+
+TEST_F(FilePageStoreTest, ReadOnlyUseLeavesSidecarUntouched) {
+  PageId id;
+  {
+    auto store = FilePageStore::Create(path_);
+    ASSERT_TRUE(store.ok());
+    id = *(*store)->Allocate();
+    Page page;
+    page.bytes[3] = 0x33;
+    ASSERT_TRUE((*store)->Write(id, page).ok());
+  }
+  const std::string meta_path = path_ + ".meta";
+  BackdateMtime(meta_path);
+  const std::vector<char> meta = ReadFileBytes(meta_path);
+  {
+    auto store = FilePageStore::Open(path_);
+    ASSERT_TRUE(store.ok()) << store.status();
+    BufferPool pool(store->get(), 4);
+    for (int round = 0; round < 3; ++round) {
+      Result<PageGuard> guard = pool.Fetch(id);
+      ASSERT_TRUE(guard.ok());
+      EXPECT_EQ(guard->page().bytes[3], 0x33);
+    }
+    ASSERT_TRUE(pool.FlushAll().ok());
+    ASSERT_TRUE((*store)->Sync().ok());  // clean: nothing to do
+  }  // the destructor's Sync must not rewrite the sidecar either
+  EXPECT_EQ(ReadFileBytes(meta_path), meta);
+  const timespec mtime = MtimeOf(meta_path);
+  EXPECT_EQ(mtime.tv_sec, 1000000000);
+  EXPECT_EQ(mtime.tv_nsec, 0);
+}
+
+TEST_F(FilePageStoreTest, WriteAfterReopenStillPersistsOnClose) {
+  PageId id;
+  {
+    auto store = FilePageStore::Create(path_);
+    ASSERT_TRUE(store.ok());
+    id = *(*store)->Allocate();
+  }
+  {
+    auto store = FilePageStore::Open(path_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Sync().ok());
+    Page page;
+    page.bytes[9] = 0x99;
+    ASSERT_TRUE((*store)->Write(id, page).ok());
+  }  // no explicit Sync: the destructor persists the new checksum
+  auto reopened = FilePageStore::Open(path_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  Page out;
+  ASSERT_TRUE((*reopened)->Read(id, &out).ok());
+  EXPECT_EQ(out.bytes[9], 0x99);
+}
+
+TEST_F(FilePageStoreTest, AllocateAndFreeMakeTheVolumeDirty) {
+  {
+    auto store = FilePageStore::Create(path_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Allocate().ok());
+  }
+  {
+    auto store = FilePageStore::Open(path_);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Free(0).ok());
+  }
+  {
+    auto store = FilePageStore::Open(path_);
+    ASSERT_TRUE(store.ok());
+    EXPECT_EQ((*store)->num_live_pages(), 0u);
+    ASSERT_TRUE((*store)->Allocate().ok());
+    ASSERT_TRUE((*store)->Allocate().ok());
+  }
+  auto reopened = FilePageStore::Open(path_);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->num_live_pages(), 2u);
+  EXPECT_EQ((*reopened)->capacity_pages(), 2u);
 }
 
 }  // namespace

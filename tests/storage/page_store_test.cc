@@ -140,9 +140,8 @@ class FailingWriteStore final : public PageStore {
  public:
   bool fail_writes = false;
 
-  Status Sync() override { return Status::OK(); }
-
  private:
+  Status SyncVolume() override { return Status::OK(); }
   Status ReadPage(PageId /*id*/, Page* out) override {
     *out = Page{};
     return Status::OK();

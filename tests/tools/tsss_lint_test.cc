@@ -158,8 +158,8 @@ TEST(TsssLintFixtures, BadPinLeakFlagsLeakBareAndDangling) {
   const LintResult result = RunOnFixture("bad_pin_leak");
   ASSERT_TRUE(result.error.empty()) << result.error;
   EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.CountFor(Check::kPinPairing), 3);
-  EXPECT_EQ(static_cast<int>(result.findings.size()), 3);
+  EXPECT_EQ(result.CountFor(Check::kPinPairing), 4);
+  EXPECT_EQ(static_cast<int>(result.findings.size()), 4);
 }
 
 TEST(TsssLintFixtures, BadRelaxedUnwaivedFlagsAllFourMisuses) {
@@ -174,8 +174,8 @@ TEST(TsssLintFixtures, BadPollMissingFlagsDirectAndTransitiveIo) {
   const LintResult result = RunOnFixture("bad_poll_missing");
   ASSERT_TRUE(result.error.empty()) << result.error;
   EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.CountFor(Check::kDeadlinePoll), 2);
-  EXPECT_EQ(static_cast<int>(result.findings.size()), 2);
+  EXPECT_EQ(result.CountFor(Check::kDeadlinePoll), 3);
+  EXPECT_EQ(static_cast<int>(result.findings.size()), 3);
 }
 
 TEST(TsssLintFixtures, BadFloatEqFlagsPruneAndHotComparisons) {

@@ -27,7 +27,7 @@ bool IsPunct(const Token& t, const char* text) {
 /// *queries*; seeding on the query-side read entry points keeps the
 /// check focused and waiver-free on the write path.
 bool IsIoSeed(const std::string& name) {
-  return name == "LoadNode" || name == "ViewWindow" ||
+  return name == "LoadNode" || name == "ScanNode" || name == "ViewWindow" ||
          name == "ReadWindow" || name == "ReadWindowDeduped";
 }
 

@@ -133,8 +133,34 @@ bool LeafReleases(const std::vector<Token>& toks, const Stmt& leaf,
   return saw_release && (var.empty() || saw_var);
 }
 
-/// Reference/pointer declaration whose initializer pins a page inline:
-/// the guard temporary dies at the semicolon, the reference dangles.
+/// Declaration `T name =` whose type borrows page bytes: a `Page&` or
+/// `Page*`, or a NodeView (bare or as Result<NodeView>), which points into
+/// the page whatever its declarator. Returns the index of the name token,
+/// or 0 when the tokens at `i` start no such declaration.
+std::size_t BorrowingDeclName(const std::vector<Token>& toks, std::size_t i) {
+  const std::size_t n = toks.size();
+  if (toks[i].kind != TokKind::kIdent) return 0;
+  std::size_t j = i + 1;
+  const bool by_ref =
+      j < n && (IsPunct(toks[j], "&") || IsPunct(toks[j], "*"));
+  if (toks[i].text == "Page") {
+    if (!by_ref) return 0;  // a Page value is a copy, not a borrow
+    ++j;
+  } else if (toks[i].text == "NodeView") {
+    if (j < n && IsPunct(toks[j], ">")) ++j;  // Result<NodeView>
+    if (j < n && (IsPunct(toks[j], "&") || IsPunct(toks[j], "*"))) ++j;
+  } else {
+    return 0;
+  }
+  if (j + 1 >= n || toks[j].kind != TokKind::kIdent ||
+      !IsPunct(toks[j + 1], "=")) {
+    return 0;
+  }
+  return j;
+}
+
+/// Page reference or NodeView whose initializer pins the page inline: the
+/// guard temporary dies at the semicolon, and the borrow dangles.
 void FindDanglingPageRefs(const SourceFile& file,
                           const std::vector<Token>& toks,
                           const std::set<int>& waived,
@@ -142,14 +168,12 @@ void FindDanglingPageRefs(const SourceFile& file,
   static const std::set<std::string> kInlineAcquire = {"Fetch", "New"};
   const std::size_t n = toks.size();
   for (std::size_t i = 0; i + 3 < n; ++i) {
-    // Pattern: `Page & name =` or `Page * name =` ... `Fetch ( ... ) .
+    // Pattern: `Page & name =` / `NodeView name =` ... `Fetch ( ... ) .
     // value ( ) . page ( )` within the same statement.
-    if (toks[i].kind != TokKind::kIdent || toks[i].text != "Page") continue;
-    if (!(IsPunct(toks[i + 1], "&") || IsPunct(toks[i + 1], "*"))) continue;
-    if (toks[i + 2].kind != TokKind::kIdent) continue;
-    if (!IsPunct(toks[i + 3], "=")) continue;
+    const std::size_t name = BorrowingDeclName(toks, i);
+    if (name == 0) continue;
     bool pins_inline = false;
-    for (std::size_t j = i + 4; j < n && !IsPunct(toks[j], ";"); ++j) {
+    for (std::size_t j = name + 2; j < n && !IsPunct(toks[j], ";"); ++j) {
       if (toks[j].kind == TokKind::kIdent &&
           kInlineAcquire.count(toks[j].text) != 0 && j + 1 < n &&
           IsPunct(toks[j + 1], "(")) {
@@ -157,9 +181,11 @@ void FindDanglingPageRefs(const SourceFile& file,
       }
     }
     if (pins_inline && !HasWaiver(waived, toks[i].line)) {
+      const char* what = toks[i].text == "Page" ? "page reference '"
+                                                : "node view '";
       findings->push_back(
           Finding{Check::kPinPairing, file.path, toks[i].line,
-                  "page reference '" + toks[i + 2].text +
+                  what + toks[name].text +
                       "' outlives its pin: the guard temporary dies at the "
                       "semicolon; bind the PageGuard to a named variable"});
     }

@@ -3,6 +3,7 @@
 //   1. LeakOnEarlyReturn — pinned frame not released on the error return
 //   2. BareAcquire — acquisition result never bound
 //   3. DanglingRef — Page reference outliving its inline guard temporary
+//   4. DanglingView — NodeView over the page of an inline guard temporary
 // CleanPaired and WaivedLeak must NOT be flagged.
 
 namespace tsss::storage {
@@ -68,6 +69,32 @@ struct GuardPool {
 int DanglingRef(GuardPool* pool, int id) {
   Page& p = pool->Fetch(id).page();
   return p.bytes[0];
+}
+
+struct NodeView {
+  int level() const;
+};
+
+template <typename T>
+struct Result {
+  const T* operator->() const;
+};
+
+struct Codec {
+  Result<NodeView> View(const Page& page) const;
+};
+
+// Finding 4: the view points into a page whose pin died with the temporary
+// guard at the semicolon.
+int DanglingView(GuardPool* pool, const Codec& codec, int id) {
+  Result<NodeView> view = codec.View(pool->Fetch(id).page());
+  return view->level();
+}
+
+// Clean: a copy of the page owns its bytes.
+int CopiedPage(GuardPool* pool, int id) {
+  Page copy = pool->Fetch(id).page();
+  return copy.bytes[0];
 }
 
 }  // namespace tsss::storage

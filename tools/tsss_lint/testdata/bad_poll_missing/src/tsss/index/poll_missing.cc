@@ -3,6 +3,7 @@
 // tsss_lint_test.cc):
 //   1. DirectIoNoPoll — loop calls ReadWindow, never polls
 //   2. TransitiveIoNoPoll — loop calls a helper that reaches LoadNode
+//   3. ScanLoopNoPoll — loop reads nodes in place through ScanNode
 // PolledLoop, TransitivePolledLoop, and WaivedLoop must NOT be flagged.
 
 namespace tsss::index {
@@ -14,6 +15,8 @@ struct Status {
 struct Store {
   Status ReadWindow(int series, int offset);
   Status LoadNode(int id);
+  template <typename Fn>
+  Status ScanNode(int id, Fn&& fn);
 };
 
 struct Control {
@@ -51,6 +54,16 @@ void TransitiveIoNoPoll(Store* store, int n) {
     Status s = VisitNode(store, i);
     if (!s.ok()) return;
   }
+}
+
+// Finding 3: an in-place node walk is page I/O too; no poll.
+int ScanLoopNoPoll(Store* store, int n) {
+  int entries = 0;
+  for (int i = 0; i < n; ++i) {
+    Status s = store->ScanNode(i, [&entries](int size) { entries += size; });
+    if (!s.ok()) return -1;
+  }
+  return entries;
 }
 
 // Clean: polls directly in the body.

@@ -20,11 +20,24 @@ struct Pool {
   bool Ready(int id);
 };
 
+struct NodeView {
+  int level() const;
+};
+
+NodeView ViewOf(Frame* frame);
+
 // RAII: the guard releases on every path by construction.
 int RaiiRead(Pool* pool, int id) {
   PageGuard guard = pool->Fetch(id);
   if (!pool->Ready(id)) return -1;
   return guard.frame()->id;
+}
+
+// A view bound over a named guard lives no longer than the pin.
+int ViewOverNamedGuard(Pool* pool, int id) {
+  PageGuard guard = pool->Fetch(id);
+  NodeView view = ViewOf(guard.frame());
+  return view.level();
 }
 
 // Manual pair, released on the early-return path and the fall-through.
