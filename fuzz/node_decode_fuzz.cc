@@ -3,14 +3,14 @@
 // The first two input bytes choose the codec configuration (dimension
 // 1..16 and point vs box leaves); the rest becomes a 4 KiB page image.
 // Properties:
-//   1. DecodePart/Decode on arbitrary bytes never crash, abort a DCHECK,
-//      or trip ASan/UBSan — malformed pages must come back as Status.
-//   2. Anything DecodePart accepts re-encodes with EncodePart and decodes
-//      again to the identical part (accepted input is round-trip stable).
+//   1. Decode/View on arbitrary bytes never crash, abort a DCHECK, or trip
+//      ASan/UBSan — malformed pages must come back as Status.
+//   2. Anything Decode accepts re-encodes with Encode and decodes again to
+//      the identical node (accepted input is round-trip stable).
 //   3. View (the query read path's in-place reader) accepts exactly the
-//      pages DecodePart accepts, with the same Status, and on accepted
-//      pages every field it reads - level, next, count, child/record ids,
-//      every corner bit pattern - matches the decoded part.
+//      pages Decode accepts, with the same Status, and on accepted pages
+//      every field it reads - level, count, child/record ids, every corner
+//      bit pattern - matches the decoded node.
 
 #include <algorithm>
 #include <cstdint>
@@ -24,18 +24,15 @@
 namespace {
 
 void CheckRoundTrip(const tsss::index::NodeCodec& codec,
-                    const tsss::index::NodePart& part) {
+                    const tsss::index::Node& node) {
   tsss::storage::Page encoded;
-  const tsss::Status s =
-      codec.EncodePart(part.level, part.entries, part.next, &encoded);
-  FUZZ_CHECK(s.ok());
-  const tsss::Result<tsss::index::NodePart> again = codec.DecodePart(encoded);
+  FUZZ_CHECK(codec.Encode(node, &encoded).ok());
+  const tsss::Result<tsss::index::Node> again = codec.Decode(encoded);
   FUZZ_CHECK(again.ok());
-  FUZZ_CHECK(again->level == part.level);
-  FUZZ_CHECK(again->next == part.next);
-  FUZZ_CHECK(again->entries.size() == part.entries.size());
-  for (std::size_t i = 0; i < part.entries.size(); ++i) {
-    const tsss::index::Entry& a = part.entries[i];
+  FUZZ_CHECK(again->level == node.level);
+  FUZZ_CHECK(again->entries.size() == node.entries.size());
+  for (std::size_t i = 0; i < node.entries.size(); ++i) {
+    const tsss::index::Entry& a = node.entries[i];
     const tsss::index::Entry& b = again->entries[i];
     FUZZ_CHECK(a.child == b.child);
     FUZZ_CHECK(a.record == b.record);
@@ -46,20 +43,19 @@ void CheckRoundTrip(const tsss::index::NodeCodec& codec,
 
 void CheckViewMatches(const tsss::index::NodeCodec& codec,
                       const tsss::storage::Page& page,
-                      const tsss::Result<tsss::index::NodePart>& part) {
+                      const tsss::Result<tsss::index::Node>& node) {
   const tsss::Result<tsss::index::NodeView> view = codec.View(page);
-  FUZZ_CHECK(view.ok() == part.ok());
-  if (!part.ok()) {
-    FUZZ_CHECK(view.status().ToString() == part.status().ToString());
+  FUZZ_CHECK(view.ok() == node.ok());
+  if (!node.ok()) {
+    FUZZ_CHECK(view.status().ToString() == node.status().ToString());
     return;
   }
-  FUZZ_CHECK(view->level() == part->level);
-  FUZZ_CHECK(view->next() == part->next);
-  FUZZ_CHECK(view->size() == part->entries.size());
+  FUZZ_CHECK(view->level() == node->level);
+  FUZZ_CHECK(view->size() == node->entries.size());
   std::vector<double> lo(codec.dim());
   std::vector<double> hi(codec.dim());
   for (std::size_t k = 0; k < view->size(); ++k) {
-    const tsss::index::Entry& e = part->entries[k];
+    const tsss::index::Entry& e = node->entries[k];
     if (view->is_leaf()) {
       FUZZ_CHECK(view->record(k) == e.record);
     } else {
@@ -88,13 +84,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
               std::min(size, tsss::storage::kPageSize));
 
   const tsss::index::NodeCodec codec(dim, box_leaves);
-  const tsss::Result<tsss::index::NodePart> part = codec.DecodePart(page);
-  if (part.ok()) CheckRoundTrip(codec, *part);
-  CheckViewMatches(codec, page, part);
-
-  // The single-page entry point applies one extra validation (no chain
-  // link); it must be just as robust.
-  // discard-ok: fuzz target — only crashes/hangs matter, any Status is fine.
-  (void)codec.Decode(page);
+  const tsss::Result<tsss::index::Node> node = codec.Decode(page);
+  if (node.ok()) CheckRoundTrip(codec, *node);
+  CheckViewMatches(codec, page, node);
   return 0;
 }

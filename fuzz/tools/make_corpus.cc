@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -59,48 +60,52 @@ tsss::geom::Mbr Box(std::initializer_list<double> lo,
 
 void MakeNodeSeeds(const fs::path& dir) {
   using tsss::index::Entry;
+  using tsss::index::Node;
   using tsss::index::NodeCodec;
   using tsss::storage::Page;
 
   {  // internal node, dim 2
     NodeCodec codec(2, false);
-    std::vector<Entry> entries = {
+    Node node;
+    node.level = 1;
+    node.entries = {
         Entry::ForChild(7, Box({0.0, -1.0}, {2.5, 1.0})),
         Entry::ForChild(9, Box({-4.0, 0.5}, {0.0, 3.0})),
     };
     Page page;
-    if (!codec.EncodePart(1, entries, tsss::storage::kInvalidPageId, &page).ok())
-      std::exit(1);
+    if (!codec.Encode(node, &page).ok()) std::exit(1);
     WriteSeed(dir, "internal_dim2", NodeSeed(2, false, page));
   }
   {  // point leaf, dim 6 (the paper's default reduced dimensionality)
     NodeCodec codec(6, false);
-    std::vector<Entry> entries;
+    Node node;
     for (std::uint64_t r = 0; r < 5; ++r) {
       const std::vector<double> point = {0.5 * static_cast<double>(r), 1, 2,
                                          3, 4, 5};
-      entries.push_back(Entry::ForRecord(r * 1000 + 1, point));
+      node.entries.push_back(Entry::ForRecord(r * 1000 + 1, point));
     }
     Page page;
-    if (!codec.EncodePart(0, entries, tsss::storage::kInvalidPageId, &page).ok())
-      std::exit(1);
+    if (!codec.Encode(node, &page).ok()) std::exit(1);
     WriteSeed(dir, "leaf_points_dim6", NodeSeed(6, false, page));
   }
-  {  // box leaf (sub-trail mode) chained to a continuation page
+  {  // box leaf (sub-trail mode) whose reserved header word links a
+     // continuation page, as multi-page nodes once did: Decode rejects it
     NodeCodec codec(3, true);
     Entry trail;
     trail.mbr = Box({0, 0, 0}, {1, 1, 1});
     trail.record = 42;
-    std::vector<Entry> entries = {trail};
+    Node node;
+    node.entries = {trail};
     Page page;
-    if (!codec.EncodePart(0, entries, /*next=*/12, &page).ok()) std::exit(1);
+    if (!codec.Encode(node, &page).ok()) std::exit(1);
+    const std::uint32_t next = 12;  // the header's last u32, at byte 10
+    std::memcpy(page.bytes.data() + 10, &next, sizeof(next));
     WriteSeed(dir, "leaf_boxes_dim3_chained", NodeSeed(3, true, page));
   }
   {  // empty leaf (a fresh root)
     NodeCodec codec(6, false);
     Page page;
-    if (!codec.EncodePart(0, {}, tsss::storage::kInvalidPageId, &page).ok())
-      std::exit(1);
+    if (!codec.Encode(Node{}, &page).ok()) std::exit(1);
     WriteSeed(dir, "leaf_empty_dim6", NodeSeed(6, false, page));
   }
 }
@@ -139,9 +144,6 @@ void MakePersistenceSeeds(const fs::path& dir) {
             "tree_min_fill 0.4\n"
             "tree_split 2\n"
             "tree_reinsert 0.3\n"
-            "supernodes 0\n"
-            "supernode_overlap 0.8\n"
-            "supernode_multiple 4\n"
             "windows 873\n"
             "root 3\n"
             "height 2\n"

@@ -79,13 +79,21 @@ Result<EngineMeta> ParseEngineMeta(std::istream& in) {
   for (const char* required :
        {"window", "stride", "subtrail", "reducer", "reduced_dim", "prune",
         "pool_pages", "cold_cache", "tree_max", "tree_leaf_max",
-        "tree_min_fill", "tree_split", "tree_reinsert", "supernodes",
-        "supernode_overlap", "supernode_multiple", "windows", "root", "height",
-        "size"}) {
+        "tree_min_fill", "tree_split", "tree_reinsert", "windows", "root",
+        "height", "size"}) {
     if (kv.find(required) == kv.end()) {
       return Status::Corruption(std::string("engine metadata missing key '") +
                                 required + "'");
     }
+  }
+  // Older checkpoints also recorded the X-tree supernode settings. The
+  // feature is gone, so such a meta still opens while supernodes were off,
+  // and an index that may hold multi-page nodes is refused.
+  const auto supernodes = kv.find("supernodes");
+  if (supernodes != kv.end() && supernodes->second != 0) {
+    return Status::Corruption(
+        "engine metadata enables X-tree supernodes, which are no longer "
+        "supported");
   }
 
   EngineMeta meta;
@@ -126,13 +134,6 @@ Result<EngineMeta> ParseEngineMeta(std::istream& in) {
   config.tree.split = static_cast<index::SplitAlgorithm>(enum_value);
   s = MetaToFraction(kv["tree_reinsert"], "tree_reinsert",
                      &config.tree.reinsert_fraction);
-  if (!s.ok()) return s;
-  config.tree.enable_supernodes = kv["supernodes"] != 0;
-  s = MetaToFraction(kv["supernode_overlap"], "supernode_overlap",
-                     &config.tree.supernode_overlap_fraction);
-  if (!s.ok()) return s;
-  s = MetaToSize(kv["supernode_multiple"], "supernode_multiple",
-                 &config.tree.max_supernode_multiple);
   if (!s.ok()) return s;
   s = MetaToSize(kv["windows"], "windows", &meta.indexed_windows);
   if (!s.ok()) return s;
@@ -180,9 +181,6 @@ Status SearchEngine::Checkpoint() {
   meta << "tree_min_fill " << config_.tree.min_fill_fraction << '\n';
   meta << "tree_split " << static_cast<int>(config_.tree.split) << '\n';
   meta << "tree_reinsert " << config_.tree.reinsert_fraction << '\n';
-  meta << "supernodes " << (config_.tree.enable_supernodes ? 1 : 0) << '\n';
-  meta << "supernode_overlap " << config_.tree.supernode_overlap_fraction << '\n';
-  meta << "supernode_multiple " << config_.tree.max_supernode_multiple << '\n';
   meta << "windows " << indexed_windows_ << '\n';
   meta << "root " << tree_->root_page() << '\n';
   meta << "height " << tree_->height() << '\n';

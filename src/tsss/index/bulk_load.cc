@@ -49,25 +49,21 @@ Status RTree::BulkLoad(std::vector<Entry> points) {
     }
   }
 
-  // Free the existing tree (including any supernode chain pages).
+  // Free the existing tree.
   std::vector<storage::PageId> old_pages;
   Status s = VisitNodes(
       [&old_pages](const Node&, storage::PageId page) { old_pages.push_back(page); });
   if (!s.ok()) return s;
   for (storage::PageId page : old_pages) {
-    s = FreeNodeChain(page);
+    s = pool_->Delete(page);
     if (!s.ok()) return s;
   }
 
   const std::size_t n = points.size();
   if (n == 0) {
-    Result<storage::PageGuard> guard = pool_->New();
-    if (!guard.ok()) return guard.status();
-    Node root;
-    root.level = 0;
-    s = codec_.Encode(root, &guard->MutablePage());
-    if (!s.ok()) return s;
-    root_ = guard->id();
+    Result<storage::PageId> root = StoreNewNode(Node{});
+    if (!root.ok()) return root.status();
+    root_ = *root;
     height_ = 1;
     size_ = 0;
     return Status::OK();
@@ -87,14 +83,12 @@ Status RTree::BulkLoad(std::vector<Entry> points) {
     const std::size_t count = current.size();
     if (count <= capacity) {
       // One node absorbs everything: it becomes the root.
-      Result<storage::PageGuard> guard = pool_->New();
-      if (!guard.ok()) return guard.status();
       Node root;
       root.level = level;
       root.entries = std::move(current);
-      s = codec_.Encode(root, &guard->MutablePage());
-      if (!s.ok()) return s;
-      root_ = guard->id();
+      Result<storage::PageId> page = StoreNewNode(root);
+      if (!page.ok()) return page.status();
+      root_ = *page;
       height_ = static_cast<std::size_t>(level) + 1;
       size_ = n;
       return Status::OK();
@@ -107,8 +101,6 @@ Status RTree::BulkLoad(std::vector<Entry> points) {
         // Rebalance so the final node meets min fill.
         chunk = count - begin - config_.MinFillOf(capacity);
       }
-      Result<storage::PageGuard> guard = pool_->New();
-      if (!guard.ok()) return guard.status();
       Node node;
       node.level = level;
       node.entries.assign(
@@ -116,9 +108,9 @@ Status RTree::BulkLoad(std::vector<Entry> points) {
                                   static_cast<std::ptrdiff_t>(begin)),
           std::make_move_iterator(current.begin() +
                                   static_cast<std::ptrdiff_t>(begin + chunk)));
-      s = codec_.Encode(node, &guard->MutablePage());
-      if (!s.ok()) return s;
-      parents.push_back(Entry::ForChild(guard->id(), node.ComputeMbr(config_.dim)));
+      Result<storage::PageId> page = StoreNewNode(node);
+      if (!page.ok()) return page.status();
+      parents.push_back(Entry::ForChild(*page, node.ComputeMbr(config_.dim)));
       begin += chunk;
     }
     current = std::move(parents);

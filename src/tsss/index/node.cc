@@ -11,6 +11,10 @@ constexpr std::uint16_t kMagic = 0x5254;  // "RT"
 constexpr std::uint16_t kFlagBoxLeaves = 0x1;
 constexpr std::size_t kHeaderBytes =
     5 * sizeof(std::uint16_t) + sizeof(std::uint32_t);
+/// The header's last word is reserved. Multi-page nodes once chained their
+/// pages through it; a one-page node always held kInvalidPageId there, so any
+/// other value marks a page this codec cannot read.
+constexpr std::uint32_t kReserved = storage::kInvalidPageId;
 
 std::size_t InternalEntryBytes(std::size_t dim) {
   return sizeof(std::uint32_t) + 2 * dim * sizeof(double);
@@ -69,24 +73,23 @@ NodeCodec::NodeCodec(std::size_t dim, bool box_leaves)
       max_leaf_((storage::kPageSize - kHeaderBytes) /
                 LeafEntryBytes(dim, box_leaves)) {}
 
-Status NodeCodec::EncodePart(std::uint16_t level, std::span<const Entry> entries,
-                             storage::PageId next, storage::Page* page) const {
-  const bool is_leaf = level == 0;
+Status NodeCodec::Encode(const Node& node, storage::Page* page) const {
+  const bool is_leaf = node.is_leaf();
   const std::size_t cap = is_leaf ? max_leaf_ : max_internal_;
-  if (entries.size() > cap) {
+  if (node.entries.size() > cap) {
     return Status::ResourceExhausted(
-        "node part with " + std::to_string(entries.size()) +
+        "node with " + std::to_string(node.entries.size()) +
         " entries exceeds page capacity " + std::to_string(cap));
   }
   page->bytes.fill(0);
   Writer w(page);
   w.Put<std::uint16_t>(kMagic);
-  w.Put<std::uint16_t>(level);
-  w.Put<std::uint16_t>(static_cast<std::uint16_t>(entries.size()));
+  w.Put<std::uint16_t>(node.level);
+  w.Put<std::uint16_t>(static_cast<std::uint16_t>(node.entries.size()));
   w.Put<std::uint16_t>(static_cast<std::uint16_t>(dim_));
   w.Put<std::uint16_t>(box_leaves_ ? kFlagBoxLeaves : 0);
-  w.Put<std::uint32_t>(next);
-  for (const Entry& e : entries) {
+  w.Put<std::uint32_t>(kReserved);
+  for (const Entry& e : node.entries) {
     if (e.mbr.dim() != dim_) {
       return Status::InvalidArgument("entry dimensionality mismatch: expected " +
                                      std::to_string(dim_) + ", got " +
@@ -121,7 +124,11 @@ Result<NodeView> NodeCodec::View(const storage::Page& page) const {
   const std::uint16_t count = r.Get<std::uint16_t>();
   const std::uint16_t dim = r.Get<std::uint16_t>();
   const std::uint16_t flags = r.Get<std::uint16_t>();
-  view.next_ = r.Get<std::uint32_t>();
+  const std::uint32_t reserved = r.Get<std::uint32_t>();
+  if (reserved != kReserved) {
+    return Status::Corruption("node header reserved word is " +
+                              std::to_string(reserved));
+  }
   if ((flags & kFlagBoxLeaves) != (box_leaves_ ? kFlagBoxLeaves : 0)) {
     return Status::Corruption("node leaf-layout flag does not match codec");
   }
@@ -185,30 +192,12 @@ void NodeView::AppendEntries(std::vector<Entry>* out) const {
   }
 }
 
-Result<NodePart> NodeCodec::DecodePart(const storage::Page& page) const {
+Result<Node> NodeCodec::Decode(const storage::Page& page) const {
   Result<NodeView> view = View(page);
   if (!view.ok()) return view.status();
-  NodePart part;
-  part.level = view->level();
-  part.next = view->next();
-  view->AppendEntries(&part.entries);
-  return part;
-}
-
-Status NodeCodec::Encode(const Node& node, storage::Page* page) const {
-  return EncodePart(node.level, node.entries, storage::kInvalidPageId, page);
-}
-
-Result<Node> NodeCodec::Decode(const storage::Page& page) const {
-  Result<NodePart> part = DecodePart(page);
-  if (!part.ok()) return part.status();
-  if (part->next != storage::kInvalidPageId) {
-    return Status::FailedPrecondition(
-        "page is part of a supernode chain; use DecodePart");
-  }
   Node node;
-  node.level = part->level;
-  node.entries = std::move(part->entries);
+  node.level = view->level();
+  view->AppendEntries(&node.entries);
   return node;
 }
 

@@ -51,29 +51,18 @@ struct Node {
   geom::Mbr ComputeMbr(std::size_t dim) const;
 };
 
-/// One page's worth of a (possibly multi-page) node. Ordinary nodes occupy a
-/// single page with next == kInvalidPageId; X-tree style supernodes chain
-/// continuation pages through `next`.
-struct NodePart {
-  std::uint16_t level = 0;
-  storage::PageId next = storage::kInvalidPageId;
-  std::vector<Entry> entries;
-};
-
 /// Read-only view of one node page, read in place: the query read path's
-/// alternative to decoding the page into a NodePart.
+/// alternative to decoding the page into a Node.
 ///
 /// NodeCodec::View validates the header and every coordinate before it
 /// hands out a view, so a view only ever describes a well-formed page (the
-/// same pages DecodePart accepts). The view borrows the page bytes and owns
+/// same pages Decode accepts). The view borrows the page bytes and owns
 /// nothing; it is valid only while the page stays pinned, so bind it from a
 /// named PageGuard and let it die with the guard's scope.
 class NodeView {
  public:
   std::uint16_t level() const { return level_; }
   bool is_leaf() const { return level_ == 0; }
-  /// Next page of a supernode chain, or kInvalidPageId.
-  storage::PageId next() const { return next_; }
   std::size_t size() const { return count_; }
 
   /// Child page of entry k (internal nodes).
@@ -96,7 +85,7 @@ class NodeView {
   }
 
   /// Decodes every entry into owned form, appended to `out` (the write
-  /// path's Node; DecodePart and RTree::LoadNode both end here).
+  /// path's Node; Decode and RTree::LoadNode both end here).
   void AppendEntries(std::vector<Entry>* out) const;
 
  private:
@@ -118,15 +107,15 @@ class NodeView {
   std::size_t id_bytes_ = 0;  ///< child (u32) or record (u64) before the box
   std::size_t dim_ = 0;
   std::size_t count_ = 0;
-  storage::PageId next_ = storage::kInvalidPageId;
   std::uint16_t level_ = 0;
   bool has_box_ = false;
 };
 
-/// Fixed-layout serializer between Node parts and 4 KiB pages.
+/// Fixed-layout serializer between Nodes and 4 KiB pages, one node per page.
 ///
 /// Layout (little-endian, host representation for doubles):
-///   header:  magic u16 | level u16 | count u16 | dim u16 | flags u16 | next u32
+///   header:  magic u16 | level u16 | count u16 | dim u16 | flags u16 |
+///            reserved u32 (always kInvalidPageId)
 ///   internal entry: child u32 | lo[dim] f64 | hi[dim] f64
 ///   leaf entry:     record u64 | point[dim] f64            (point leaves)
 ///   leaf entry:     record u64 | lo[dim] f64 | hi[dim] f64 (box leaves)
@@ -145,27 +134,16 @@ class NodeCodec {
   std::size_t max_internal_entries() const { return max_internal_; }
   std::size_t max_leaf_entries() const { return max_leaf_; }
 
-  /// Serializes a single-page node into `page` (next = invalid). Fails if
-  /// the node exceeds the page capacity - multi-page nodes must go through
-  /// EncodePart.
+  /// Serializes `node` into `page`. Fails with ResourceExhausted if the node
+  /// exceeds the page capacity for its kind.
   Status Encode(const Node& node, storage::Page* page) const;
 
-  /// Deserializes a single-page node; fails with FailedPrecondition if the
-  /// page is part of a chain (callers that support supernodes use
-  /// DecodePart).
+  /// Deserializes one node page: View plus an owned copy of every entry.
   Result<Node> Decode(const storage::Page& page) const;
 
-  /// Serializes one chain part: `entries` (at most the per-page capacity for
-  /// the node kind) plus the link to the next part.
-  Status EncodePart(std::uint16_t level, std::span<const Entry> entries,
-                    storage::PageId next, storage::Page* page) const;
-
-  /// Deserializes one chain part.
-  Result<NodePart> DecodePart(const storage::Page& page) const;
-
-  /// Validates one chain part in place and returns a view over `page`,
-  /// without copying it. Accepts and rejects exactly the pages DecodePart
-  /// does, with the same Status. The view is valid while `page` is pinned.
+  /// Validates one node page in place and returns a view over `page`,
+  /// without copying it. Accepts and rejects exactly the pages Decode does,
+  /// with the same Status. The view is valid while `page` is pinned.
   Result<NodeView> View(const storage::Page& page) const;
 
  private:

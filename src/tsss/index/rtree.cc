@@ -70,13 +70,9 @@ Result<std::unique_ptr<RTree>> RTree::Create(storage::BufferPool* pool,
   auto tree = std::unique_ptr<RTree>(new RTree(pool, config));
   tree->leaf_max_ = *leaf_max;
   // Allocate the (initially empty leaf) root.
-  Result<storage::PageGuard> guard = pool->New();
-  if (!guard.ok()) return guard.status();
-  tree->root_ = guard->id();
-  Node root;
-  root.level = 0;
-  Status s = tree->codec_.Encode(root, &guard->MutablePage());
-  if (!s.ok()) return s;
+  Result<storage::PageId> root = tree->StoreNewNode(Node{});
+  if (!root.ok()) return root.status();
+  tree->root_ = *root;
   return tree;
 }
 
@@ -116,79 +112,18 @@ Result<Node> RTree::LoadNode(storage::PageId id) const {
   return node;
 }
 
-Result<std::vector<storage::PageId>> RTree::ChainPages(storage::PageId id) {
-  std::vector<storage::PageId> chain;
-  storage::PageId cur = id;
-  while (cur != storage::kInvalidPageId) {
-    chain.push_back(cur);
-    Result<storage::PageGuard> guard = pool_->Fetch(cur);
-    if (!guard.ok()) return guard.status();
-    Result<NodeView> view = codec_.View(guard->page());
-    if (!view.ok()) return view.status();
-    cur = view->next();
-    if (chain.size() > 1u << 20) {
-      return Status::Corruption("supernode chain cycle suspected");
-    }
-  }
-  return chain;
-}
-
-Status RTree::FreeNodeChain(storage::PageId id) {
-  Result<std::vector<storage::PageId>> chain = ChainPages(id);
-  if (!chain.ok()) return chain.status();
-  for (storage::PageId page : *chain) {
-    Status s = pool_->Delete(page);
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
-}
-
-Status RTree::WriteChain(const Node& node, std::vector<storage::PageId> chain) {
-  const std::size_t per_page =
-      node.is_leaf() ? codec_.max_leaf_entries() : codec_.max_internal_entries();
-  const std::size_t needed =
-      std::max<std::size_t>(1, (node.entries.size() + per_page - 1) / per_page);
-  while (chain.size() < needed) {
-    Result<storage::PageGuard> guard = pool_->New();
-    if (!guard.ok()) return guard.status();
-    chain.push_back(guard->id());
-  }
-  while (chain.size() > needed) {
-    Status s = pool_->Delete(chain.back());
-    if (!s.ok()) return s;
-    chain.pop_back();
-  }
-
-  std::size_t pos = 0;
-  for (std::size_t k = 0; k < needed; ++k) {
-    const std::size_t count = std::min(per_page, node.entries.size() - pos);
-    Result<storage::PageGuard> guard = pool_->Fetch(chain[k]);
-    if (!guard.ok()) return guard.status();
-    const storage::PageId next =
-        k + 1 < needed ? chain[k + 1] : storage::kInvalidPageId;
-    Status s = codec_.EncodePart(
-        node.level, std::span<const Entry>(node.entries.data() + pos, count),
-        next, &guard->MutablePage());
-    if (!s.ok()) return s;
-    pos += count;
-  }
-  return Status::OK();
-}
-
 Status RTree::StoreNode(storage::PageId id, const Node& node) {
-  Result<std::vector<storage::PageId>> existing = ChainPages(id);
-  if (!existing.ok()) return existing.status();
-  return WriteChain(node, std::move(existing).value());
+  Result<storage::PageGuard> guard = pool_->Fetch(id);
+  if (!guard.ok()) return guard.status();
+  return codec_.Encode(node, &guard->MutablePage());
 }
 
 Result<storage::PageId> RTree::StoreNewNode(const Node& node) {
   Result<storage::PageGuard> guard = pool_->New();
   if (!guard.ok()) return guard.status();
-  const storage::PageId id = guard->id();
-  guard->Release();
-  Status s = WriteChain(node, {id});
+  Status s = codec_.Encode(node, &guard->MutablePage());
   if (!s.ok()) return s;
-  return id;
+  return guard->id();
 }
 
 Result<std::vector<RTree::PathStep>> RTree::ChoosePath(
@@ -288,17 +223,13 @@ std::vector<Entry> RTree::TakeFarthestEntries(Node* node, std::size_t count) {
 }
 
 Status RTree::GrowRoot(Entry old_root_entry, Entry sibling_entry) {
-  Result<storage::PageGuard> guard = pool_->New();
-  if (!guard.ok()) return guard.status();
   Node new_root;
-  Result<Node> old_root = LoadNode(root_);
-  if (!old_root.ok()) return old_root.status();
-  new_root.level = static_cast<std::uint16_t>(old_root->level + 1);
+  new_root.level = static_cast<std::uint16_t>(height_);
   new_root.entries.push_back(std::move(old_root_entry));
   new_root.entries.push_back(std::move(sibling_entry));
-  Status s = codec_.Encode(new_root, &guard->MutablePage());
-  if (!s.ok()) return s;
-  root_ = guard->id();
+  Result<storage::PageId> page = StoreNewNode(new_root);
+  if (!page.ok()) return page.status();
+  root_ = *page;
   ++height_;
   return Status::OK();
 }
@@ -314,64 +245,6 @@ Status RTree::PropagateUp(std::vector<PathStep> path,
 
     if (node->entries.size() > MaxFor(*node)) {
       const bool is_root = i == 0;
-      // X-tree supernode check (internal nodes only): if the best split of
-      // this node is hopelessly overlapping, keep it as a multi-page node.
-      if (config_.enable_supernodes && !node->is_leaf() &&
-          node->entries.size() <=
-              config_.max_entries * config_.max_supernode_multiple) {
-        SplitResult trial = SplitEntries(node->entries, config_.dim,
-                                         MinFor(*node), config_.split);
-        geom::Mbr left_box(config_.dim);
-        geom::Mbr right_box(config_.dim);
-        for (const Entry& e : trial.left) left_box.Extend(e.mbr);
-        for (const Entry& e : trial.right) right_box.Extend(e.mbr);
-        const double overlap = left_box.OverlapVolume(right_box);
-        const double union_vol =
-            left_box.Volume() + right_box.Volume() - overlap;
-        const double frac = union_vol > 0.0 ? overlap / union_vol : 0.0;
-        if (frac > config_.supernode_overlap_fraction) {
-          // Stay a supernode: store the (overfull) node and continue the
-          // bottom-up MBR maintenance without a sibling.
-          Status s = StoreNode(path[i].page, *node);
-          if (!s.ok()) return s;
-          if (i == 0) break;
-          Result<Node> parent = LoadNode(path[i - 1].page);
-          if (!parent.ok()) return parent.status();
-          if (path[i].index_in_parent >= parent->entries.size() ||
-              parent->entries[path[i].index_in_parent].child != path[i].page) {
-            return Status::Internal("path/parent mismatch during propagation");
-          }
-          parent->entries[path[i].index_in_parent].mbr =
-              node->ComputeMbr(config_.dim);
-          s = StoreNode(path[i - 1].page, *parent);
-          if (!s.ok()) return s;
-          continue;
-        }
-        // Low overlap: adopt the trial split directly. The halves of a big
-        // supernode can exceed one page, so write them chain-aware.
-        node->entries = std::move(trial.left);
-        Node right;
-        right.level = node->level;
-        right.entries = std::move(trial.right);
-        Result<storage::PageId> right_page = StoreNewNode(right);
-        if (!right_page.ok()) return right_page.status();
-        Entry sib = Entry::ForChild(*right_page, right.ComputeMbr(config_.dim));
-        Status s = StoreNode(path[i].page, *node);
-        if (!s.ok()) return s;
-        if (i == 0) {
-          Entry old_root_entry =
-              Entry::ForChild(path[0].page, node->ComputeMbr(config_.dim));
-          return GrowRoot(std::move(old_root_entry), std::move(sib));
-        }
-        Result<Node> parent = LoadNode(path[i - 1].page);
-        if (!parent.ok()) return parent.status();
-        parent->entries[path[i].index_in_parent].mbr =
-            node->ComputeMbr(config_.dim);
-        parent->entries.push_back(std::move(sib));
-        s = StoreNode(path[i - 1].page, *parent);
-        if (!s.ok()) return s;
-        continue;
-      }
       const std::size_t p = config_.ReinsertOf(MaxFor(*node));
       const bool can_reinsert = !is_root && p > 0 &&
                                 config_.split == SplitAlgorithm::kRStar &&
@@ -529,7 +402,7 @@ Status RTree::CondenseTree(std::vector<PathStep> path) {
                             static_cast<std::ptrdiff_t>(idx));
       Status s = StoreNode(path[i - 1].page, *parent);
       if (!s.ok()) return s;
-      s = FreeNodeChain(path[i].page);
+      s = pool_->Delete(path[i].page);
       if (!s.ok()) return s;
     } else {
       parent->entries[idx].mbr = node->ComputeMbr(config_.dim);
@@ -553,7 +426,7 @@ Status RTree::CondenseTree(std::vector<PathStep> path) {
     if (!root.ok()) return root.status();
     if (root->is_leaf() || root->entries.size() != 1) break;
     const storage::PageId child = root->entries[0].child;
-    Status s = FreeNodeChain(root_);
+    Status s = pool_->Delete(root_);
     if (!s.ok()) return s;
     root_ = child;
     --height_;
@@ -691,11 +564,7 @@ Status RTree::CheckNode(storage::PageId page, std::uint16_t expected_level,
   } else if (!node->is_leaf() && node->entries.size() < 2) {
     return Status::Corruption("internal root must have >= 2 entries");
   }
-  std::size_t max_allowed = MaxFor(*node);
-  if (config_.enable_supernodes && !node->is_leaf()) {
-    max_allowed = config_.max_entries * config_.max_supernode_multiple;
-  }
-  if (node->entries.size() > max_allowed) {
+  if (node->entries.size() > MaxFor(*node)) {
     return Status::Corruption("node over-full: " +
                               std::to_string(node->entries.size()));
   }

@@ -39,17 +39,6 @@ struct RTreeConfig {
   /// (R* only; 0 disables).
   double reinsert_fraction = 0.3;
 
-  /// X-tree extension (Berchtold et al., cited by the paper for the
-  /// high-dimensional overlap problem): when splitting an overflowing
-  /// *internal* node would produce groups whose MBRs overlap more than
-  /// `supernode_overlap_fraction` of their union volume, keep the node as a
-  /// multi-page supernode instead. A supernode's pages are chained and every
-  /// chained page counts as one access, so the accounting stays honest.
-  bool enable_supernodes = false;
-  double supernode_overlap_fraction = 0.2;
-  /// Hard ceiling: a supernode may hold at most this multiple of M entries.
-  std::size_t max_supernode_multiple = 16;
-
   std::size_t min_entries() const { return MinFillOf(max_entries); }
   std::size_t reinsert_count() const { return ReinsertOf(max_entries); }
 
@@ -75,8 +64,7 @@ struct LineMatch {
 struct TreeStats {
   std::size_t height = 0;          ///< number of levels (1 = root is a leaf)
   std::size_t node_count = 0;      ///< logical nodes
-  std::size_t node_pages = 0;      ///< physical pages (supernode chains count all)
-  std::size_t supernode_count = 0; ///< internal nodes spanning > 1 page
+  std::size_t node_pages = 0;      ///< physical pages (one per node)
   std::size_t leaf_count = 0;
   std::size_t entry_count = 0;     ///< data entries (leaf records)
   double avg_leaf_fill = 0.0;      ///< mean leaf occupancy / M
@@ -96,7 +84,7 @@ struct LevelStats {
   std::size_t max_fanout = 0;
   double avg_fanout = 0.0;
   /// Mean entries / capacity; capacity is leaf_capacity() for level 0 and
-  /// config().max_entries otherwise (supernodes can push a node above 1.0).
+  /// config().max_entries otherwise.
   double avg_occupancy = 0.0;
   /// Node count by occupancy decile; [9] also holds occupancy >= 100%.
   std::size_t occupancy_histogram[10] = {};
@@ -119,7 +107,6 @@ struct StructuralStats {
   std::size_t height = 0;
   std::size_t node_count = 0;
   std::size_t entry_count = 0;      ///< data entries (leaf records)
-  std::size_t supernode_count = 0;
   /// True iff the observed levels are exactly {0, ..., height-1}, the top
   /// level has one node (the root) and each internal level's entry count
   /// equals the node count of the level below - i.e. the tree is height-
@@ -241,7 +228,7 @@ class RTree {
   std::size_t height() const { return height_; }
   /// Resolved max entries for leaf nodes (config value or page capacity).
   std::size_t leaf_capacity() const { return leaf_max_; }
-  /// First page of the root node (persisted by the engine's checkpoint).
+  /// Page of the root node (persisted by the engine's checkpoint).
   storage::PageId root_page() const { return root_; }
   const RTreeConfig& config() const { return config_; }
   storage::BufferPool* pool() { return pool_; }
@@ -282,26 +269,19 @@ class RTree {
   };
 
   /// The read path's node walk: polls the thread's ExecControl (deadline/
-  /// cancel) once, then pins each page of the node's supernode chain in turn
-  /// (each counted) and calls `fn(const NodeView&)` while that page is
-  /// pinned. The view must not escape `fn`. Const and concurrency-safe:
-  /// reads only immutable tree state plus the internally synchronized pool.
+  /// cancel), pins the node's page (counted) and calls `fn(const NodeView&)`
+  /// while it is pinned. The view must not escape `fn`. Const and
+  /// concurrency-safe: reads only immutable tree state plus the internally
+  /// synchronized pool.
   template <typename Fn>
   Status ScanNode(storage::PageId id, Fn&& fn) const;
   /// Loads a node into owned form (the write path and whole-tree walks);
   /// ScanNode with every entry decoded.
   Result<Node> LoadNode(storage::PageId id) const;
-  /// Stores a node, growing or shrinking its chain as needed.
+  /// Overwrites the node stored at page `id`.
   Status StoreNode(storage::PageId id, const Node& node);
-  /// Writes `node` into the given chain, allocating/freeing pages to fit.
-  Status WriteChain(const Node& node, std::vector<storage::PageId> chain);
-  /// Allocates pages for a brand-new node (chained if necessary) and writes
-  /// it; returns the first page id.
+  /// Allocates a page for a brand-new node and writes it; returns its id.
   Result<storage::PageId> StoreNewNode(const Node& node);
-  /// Collects the chain page ids starting at `id` (first included).
-  Result<std::vector<storage::PageId>> ChainPages(storage::PageId id);
-  /// Frees a node including any chained continuation pages.
-  Status FreeNodeChain(storage::PageId id);
 
   /// Capacity / fill bounds for a node of the given kind.
   std::size_t MaxFor(const Node& node) const {
@@ -361,25 +341,16 @@ Status RTree::ScanNode(storage::PageId id, Fn&& fn) const {
   // free and fine enough that a runaway query unwinds promptly.
   Status polled = PollExecControl();
   if (!polled.ok()) return polled;
-  std::optional<std::uint16_t> level;
-  storage::PageId cur = id;
-  while (cur != storage::kInvalidPageId) {
-    Result<storage::PageGuard> guard = pool_->Fetch(cur);
-    if (!guard.ok()) return guard.status();
-    Result<NodeView> view = codec_.View(guard->page());
-    if (!view.ok()) return view.status();
-    if (level.has_value() && *level != view->level()) {
-      return Status::Corruption("supernode chain mixes levels");
-    }
-    level = view->level();
-    fn(*view);
-    cur = view->next();
-  }
+  Result<storage::PageGuard> guard = pool_->Fetch(id);
+  if (!guard.ok()) return guard.status();
+  Result<NodeView> view = codec_.View(guard->page());
+  if (!view.ok()) return view.status();
+  fn(*view);
   return Status::OK();
 }
 
 /// Publishes the headline numbers of `stats` as tsss_tree_* gauges in the
-/// global MetricsRegistry (height, nodes, entries, supernodes, occupancy and
+/// global MetricsRegistry (height, nodes, entries, occupancy and
 /// dead-space permille). Idempotent: gauges are set, not accumulated.
 void RegisterStructuralGauges(const StructuralStats& stats);
 

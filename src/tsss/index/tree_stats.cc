@@ -18,16 +18,8 @@ Result<TreeStats> RTree::ComputeStats() const {
   double diag_sum = 0.0;
   std::size_t box_count = 0;
 
-  const NodeCodec codec(config_.dim);
   Status s = VisitNodes([&](const Node& node, storage::PageId) {
     ++stats.node_count;
-    const std::size_t per_page =
-        node.is_leaf() ? codec.max_leaf_entries() : codec.max_internal_entries();
-    stats.node_pages += std::max<std::size_t>(
-        1, (node.entries.size() + per_page - 1) / per_page);
-    if (!node.is_leaf() && node.entries.size() > config_.max_entries) {
-      ++stats.supernode_count;
-    }
     if (node.is_leaf()) {
       ++stats.leaf_count;
       leaf_entry_sum += node.entries.size();
@@ -62,6 +54,7 @@ Result<TreeStats> RTree::ComputeStats() const {
     }
   });
   if (!s.ok()) return s;
+  stats.node_pages = stats.node_count;
 
   if (stats.leaf_count > 0) {
     stats.avg_leaf_fill =
@@ -94,9 +87,6 @@ Result<StructuralStats> RTree::ComputeStructuralStats() const {
 
   Status s = VisitNodes([&](const Node& node, storage::PageId) {
     ++stats.node_count;
-    if (!node.is_leaf() && node.entries.size() > config_.max_entries) {
-      ++stats.supernode_count;
-    }
     if (node.level >= height_) {
       level_out_of_range = true;
       return;
@@ -176,8 +166,6 @@ void RegisterStructuralGauges(const StructuralStats& stats) {
       static_cast<std::int64_t>(stats.node_count));
   set("tsss_tree_entries", "R-tree data entry count",
       static_cast<std::int64_t>(stats.entry_count));
-  set("tsss_tree_supernodes", "X-tree supernodes (multi-page nodes)",
-      static_cast<std::int64_t>(stats.supernode_count));
   set("tsss_tree_depth_uniform", "1 iff every leaf sits at the same depth",
       stats.depth_uniform ? 1 : 0);
   if (!stats.levels.empty()) {

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "tsss/common/check.h"
+#include "tsss/common/exec_control.h"
 #include "tsss/obs/cost.h"
 #include "tsss/seq/window.h"
 
@@ -255,6 +256,10 @@ Result<std::vector<std::vector<core::Match>>> ShardedEngine::ScatterGather(
   Result<std::vector<std::future<service::QueryResponse>>> futures =
       Status::Internal("unsubmitted");
   for (;;) {
+    // A cancelled or expired caller is refused before admission, and a full
+    // queue is not waited on past the caller's deadline.
+    Status polled = PollExecControl();
+    if (!polled.ok()) return polled;
     // SubmitBatch consumes its argument even on rejection, so each attempt
     // submits a fresh copy. All-or-nothing admission keeps one logical
     // query's sub-requests together in the queue.

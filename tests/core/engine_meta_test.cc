@@ -30,9 +30,6 @@ std::string ValidMeta() {
       "tree_min_fill 0.4\n"
       "tree_split 2\n"
       "tree_reinsert 0.3\n"
-      "supernodes 0\n"
-      "supernode_overlap 0.8\n"
-      "supernode_multiple 4\n"
       "windows 873\n"
       "root 3\n"
       "height 2\n"
@@ -60,6 +57,32 @@ TEST(EngineMetaTest, ValidMetaParses) {
   EXPECT_EQ(meta->root, 3u);
   EXPECT_EQ(meta->height, 2u);
   EXPECT_EQ(meta->tree_size, 873u);
+}
+
+/// The same metadata as older checkpoints wrote it, with the X-tree
+/// supernode settings (supernodes off).
+std::string LegacyMeta() {
+  return Replace(ValidMeta(), "windows 873\n",
+                 "supernodes 0\n"
+                 "supernode_overlap 0.8\n"
+                 "supernode_multiple 4\n"
+                 "windows 873\n");
+}
+
+TEST(EngineMetaTest, LegacyMetaWithSupernodesOffParses) {
+  auto meta = Parse(LegacyMeta());
+  ASSERT_TRUE(meta.ok()) << meta.status().message();
+  EXPECT_EQ(meta->config.tree.max_entries, 20u);
+  EXPECT_EQ(meta->tree_size, 873u);
+}
+
+TEST(EngineMetaTest, SupernodesOnIsCorruption) {
+  // An index built with supernodes may hold multi-page nodes, which the
+  // one-page-per-node reader would misread; refuse it up front.
+  auto meta = Parse(Replace(LegacyMeta(), "supernodes 0", "supernodes 1"));
+  EXPECT_EQ(meta.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(meta.status().message().find("supernodes"), std::string::npos)
+      << meta.status().message();
 }
 
 TEST(EngineMetaTest, WrongVersionLineIsCorruption) {

@@ -119,11 +119,11 @@ TEST(CorruptionDetailTest, BadLevelInChildIsCaught) {
     if (id == tree->root_page()) continue;
     storage::Page page;
     if (!store.Read(id, &page).ok()) continue;
-    auto part = codec.DecodePart(page);
-    if (!part.ok() || part->level != 0) continue;
+    auto leaf = codec.Decode(page);
+    if (!leaf.ok() || leaf->level != 0) continue;
     Node fake;
     fake.level = 7;  // wrong level
-    fake.entries = part->entries;
+    fake.entries = leaf->entries;
     ASSERT_TRUE(codec.Encode(fake, &page).ok());
     ASSERT_TRUE(store.Write(id, page).ok());
     break;

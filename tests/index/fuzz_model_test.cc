@@ -1,7 +1,7 @@
 // Model-based randomized testing: drive the R-tree with random operation
 // sequences (insert / delete / range query / line query) and compare every
 // observable result against a trivially correct in-memory reference model.
-// Runs across split algorithms and the supernode mode (TEST_P).
+// Runs across split algorithms and seeds (TEST_P).
 
 #include <algorithm>
 #include <map>
@@ -54,13 +54,12 @@ class ReferenceIndex {
   std::map<RecordId, Vec> points_;
 };
 
-using FuzzParam = std::tuple<SplitAlgorithm, bool /*supernodes*/,
-                             std::uint64_t /*seed*/>;
+using FuzzParam = std::tuple<SplitAlgorithm, std::uint64_t /*seed*/>;
 
 class RTreeFuzzTest : public ::testing::TestWithParam<FuzzParam> {};
 
 TEST_P(RTreeFuzzTest, RandomOpsAgreeWithReferenceModel) {
-  const auto [split, supernodes, seed] = GetParam();
+  const auto [split, seed] = GetParam();
   constexpr std::size_t kDim = 4;
 
   storage::MemPageStore store;
@@ -70,8 +69,6 @@ TEST_P(RTreeFuzzTest, RandomOpsAgreeWithReferenceModel) {
   config.max_entries = 6;
   config.leaf_max_entries = 10;
   config.split = split;
-  config.enable_supernodes = supernodes;
-  config.supernode_overlap_fraction = 0.1;
   auto created = RTree::Create(&pool, config);
   ASSERT_TRUE(created.ok()) << created.status();
   RTree& tree = **created;
@@ -146,17 +143,16 @@ TEST_P(RTreeFuzzTest, RandomOpsAgreeWithReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, RTreeFuzzTest,
     ::testing::Values(
-        std::make_tuple(SplitAlgorithm::kLinear, false, std::uint64_t{1}),
-        std::make_tuple(SplitAlgorithm::kQuadratic, false, std::uint64_t{2}),
-        std::make_tuple(SplitAlgorithm::kRStar, false, std::uint64_t{3}),
-        std::make_tuple(SplitAlgorithm::kRStar, false, std::uint64_t{4}),
-        std::make_tuple(SplitAlgorithm::kRStar, true, std::uint64_t{5}),
-        std::make_tuple(SplitAlgorithm::kRStar, true, std::uint64_t{6}),
-        std::make_tuple(SplitAlgorithm::kLinear, true, std::uint64_t{7})),
+        std::make_tuple(SplitAlgorithm::kLinear, std::uint64_t{1}),
+        std::make_tuple(SplitAlgorithm::kQuadratic, std::uint64_t{2}),
+        std::make_tuple(SplitAlgorithm::kRStar, std::uint64_t{3}),
+        std::make_tuple(SplitAlgorithm::kRStar, std::uint64_t{4}),
+        std::make_tuple(SplitAlgorithm::kRStar, std::uint64_t{5}),
+        std::make_tuple(SplitAlgorithm::kRStar, std::uint64_t{6}),
+        std::make_tuple(SplitAlgorithm::kLinear, std::uint64_t{7})),
     [](const testing::TestParamInfo<FuzzParam>& param_info) {
       return std::string(SplitAlgorithmToString(std::get<0>(param_info.param))) +
-             (std::get<1>(param_info.param) ? "_xtree" : "_plain") + "_seed" +
-             std::to_string(std::get<2>(param_info.param));
+             "_plain_seed" + std::to_string(std::get<1>(param_info.param));
     });
 
 }  // namespace

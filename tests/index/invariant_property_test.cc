@@ -39,13 +39,12 @@ Line RandomLine(Rng& rng) {
   return Line{p, d};
 }
 
-using Param = std::tuple<SplitAlgorithm, bool /*supernodes*/,
-                         std::uint64_t /*seed*/>;
+using Param = std::tuple<SplitAlgorithm, std::uint64_t /*seed*/>;
 
 class InvariantPropertyTest : public ::testing::TestWithParam<Param> {};
 
 TEST_P(InvariantPropertyTest, ValidatorsHoldAfterEveryOperation) {
-  const auto [split, supernodes, seed] = GetParam();
+  const auto [split, seed] = GetParam();
 
   storage::MemPageStore store;
   // Tiny pool so evictions and write-backs churn constantly; CRC
@@ -57,8 +56,6 @@ TEST_P(InvariantPropertyTest, ValidatorsHoldAfterEveryOperation) {
   config.max_entries = 5;
   config.leaf_max_entries = 8;
   config.split = split;
-  config.enable_supernodes = supernodes;
-  config.supernode_overlap_fraction = 0.1;
   auto created = RTree::Create(&pool, config);
   ASSERT_TRUE(created.ok()) << created.status();
   RTree& tree = **created;
@@ -141,15 +138,14 @@ TEST_P(InvariantPropertyTest, ValidatorsHoldAfterEveryOperation) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, InvariantPropertyTest,
     ::testing::Values(
-        std::make_tuple(SplitAlgorithm::kLinear, false, std::uint64_t{11}),
-        std::make_tuple(SplitAlgorithm::kQuadratic, false, std::uint64_t{12}),
-        std::make_tuple(SplitAlgorithm::kRStar, false, std::uint64_t{13}),
-        std::make_tuple(SplitAlgorithm::kRStar, true, std::uint64_t{14})),
+        std::make_tuple(SplitAlgorithm::kLinear, std::uint64_t{11}),
+        std::make_tuple(SplitAlgorithm::kQuadratic, std::uint64_t{12}),
+        std::make_tuple(SplitAlgorithm::kRStar, std::uint64_t{13}),
+        std::make_tuple(SplitAlgorithm::kRStar, std::uint64_t{14})),
     [](const testing::TestParamInfo<Param>& param_info) {
       return std::string(
                  SplitAlgorithmToString(std::get<0>(param_info.param))) +
-             (std::get<1>(param_info.param) ? "_xtree" : "_plain") + "_seed" +
-             std::to_string(std::get<2>(param_info.param));
+             "_plain_seed" + std::to_string(std::get<1>(param_info.param));
     });
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Malformed-page tests for NodeCodec::DecodePart/Decode: bytes that decode
-// to impossible nodes (oversized entry counts, non-finite or inverted box
-// coordinates) must come back as Corruption statuses. Regression tests for
+// Malformed-page tests for NodeCodec::Decode/View: bytes that decode to
+// impossible nodes (oversized entry counts, non-finite or inverted box
+// coordinates, a set reserved header word) must come back as Corruption
+// statuses. Regression tests for
 // the decode hardening — before it, a NaN coordinate sailed into
 // Mbr::FromCorners, whose invariant DCHECKs abort checked builds, turning a
 // bad page into a crash.
@@ -37,6 +38,10 @@ void PatchU16(storage::Page* page, std::size_t offset, std::uint16_t value) {
   std::memcpy(page->bytes.data() + offset, &value, sizeof(value));
 }
 
+void PatchU32(storage::Page* page, std::size_t offset, std::uint32_t value) {
+  std::memcpy(page->bytes.data() + offset, &value, sizeof(value));
+}
+
 void PatchDouble(storage::Page* page, std::size_t offset, double value) {
   std::memcpy(page->bytes.data() + offset, &value, sizeof(value));
 }
@@ -47,7 +52,7 @@ TEST(NodeMalformedTest, OversizedEntryCountIsCorruption) {
   // count lives at header offset 4; anything above the per-page capacity
   // would read past the page image.
   PatchU16(&page, 4, 0xFFFF);
-  auto decoded = codec.DecodePart(page);
+  auto decoded = codec.Decode(page);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
@@ -56,9 +61,24 @@ TEST(NodeMalformedTest, CountJustAboveCapacityIsCorruption) {
   const NodeCodec codec(2, false);
   storage::Page page = EncodeOneInternalEntry(codec);
   PatchU16(&page, 4, static_cast<std::uint16_t>(codec.max_internal_entries() + 1));
-  auto decoded = codec.DecodePart(page);
+  auto decoded = codec.Decode(page);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(NodeMalformedTest, ReservedHeaderWordIsCorruption) {
+  // The header's last u32 once chained the pages of a multi-page node. A
+  // node is one page now, so any value but kInvalidPageId there is damage
+  // (or a chained page from an index that used multi-page nodes).
+  const NodeCodec codec(2, false);
+  storage::Page page = EncodeOneInternalEntry(codec);
+  std::uint32_t reserved = 0;
+  std::memcpy(&reserved, page.bytes.data() + kHeaderBytes - sizeof(reserved),
+              sizeof(reserved));
+  EXPECT_EQ(reserved, storage::kInvalidPageId);
+  PatchU32(&page, kHeaderBytes - sizeof(std::uint32_t), 7);
+  EXPECT_EQ(codec.Decode(page).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(codec.View(page).status().code(), StatusCode::kCorruption);
 }
 
 TEST(NodeMalformedTest, NanCoordinateIsCorruptionNotCrash) {
@@ -67,7 +87,7 @@ TEST(NodeMalformedTest, NanCoordinateIsCorruptionNotCrash) {
   // First lo coordinate of entry 0: header + child u32.
   PatchDouble(&page, kHeaderBytes + sizeof(std::uint32_t),
               std::numeric_limits<double>::quiet_NaN());
-  auto decoded = codec.DecodePart(page);
+  auto decoded = codec.Decode(page);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
@@ -77,7 +97,7 @@ TEST(NodeMalformedTest, InfiniteCoordinateIsCorruption) {
   storage::Page page = EncodeOneInternalEntry(codec);
   PatchDouble(&page, kHeaderBytes + sizeof(std::uint32_t),
               std::numeric_limits<double>::infinity());
-  auto decoded = codec.DecodePart(page);
+  auto decoded = codec.Decode(page);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
@@ -87,7 +107,7 @@ TEST(NodeMalformedTest, InvertedBoxIsCorruption) {
   storage::Page page = EncodeOneInternalEntry(codec);
   // Push lo[0] above hi[0] (= 2.0).
   PatchDouble(&page, kHeaderBytes + sizeof(std::uint32_t), 10.0);
-  auto decoded = codec.DecodePart(page);
+  auto decoded = codec.Decode(page);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
@@ -105,7 +125,7 @@ TEST(NodeMalformedTest, NanInBoxLeafIsCorruption) {
   // hi[1] of the box leaf entry: header + record u64 + 3 doubles.
   PatchDouble(&page, kHeaderBytes + sizeof(std::uint64_t) + 3 * sizeof(double),
               std::numeric_limits<double>::quiet_NaN());
-  auto decoded = codec.DecodePart(page);
+  auto decoded = codec.Decode(page);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }

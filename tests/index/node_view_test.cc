@@ -1,7 +1,7 @@
 // The query read path reads node pages in place through NodeView. These
 // tests pin it to the decoded form it replaces:
-//  * every page of point-leaf, box-leaf (sub-trail) and supernode trees
-//    reads the same through View as through DecodePart, bit for bit;
+//  * every page of point-leaf and box-leaf (sub-trail) trees reads the
+//    same through View as through Decode, bit for bit;
 //  * LineQuery and LineKnn give the same answers, order, distances and
 //    PenetrationStats as a reference traversal over VisitNodes' decoded
 //    nodes and the Mbr forms of the geometry;
@@ -38,52 +38,30 @@ constexpr PruneStrategy kStrategies[] = {PruneStrategy::kEepOnly,
 
 bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-/// Every page of `tree`, supernode continuation pages included.
-std::vector<storage::PageId> AllPages(const RTree& tree,
-                                      storage::BufferPool* pool,
-                                      const NodeCodec& codec) {
-  std::vector<storage::PageId> firsts;
-  EXPECT_TRUE(tree.VisitNodes([&](const Node&, storage::PageId id) {
-                    firsts.push_back(id);
-                  }).ok());
-  std::vector<storage::PageId> pages;
-  for (storage::PageId id : firsts) {
-    while (id != storage::kInvalidPageId) {
-      pages.push_back(id);
-      Result<storage::PageGuard> guard = pool->Fetch(id);
-      EXPECT_TRUE(guard.ok());
-      if (!guard.ok()) break;
-      Result<NodeView> view = codec.View(guard->page());
-      EXPECT_TRUE(view.ok());
-      if (!view.ok()) break;
-      id = view->next();
-    }
-  }
-  return pages;
-}
-
 /// Reads every page of `tree` both ways and compares all fields.
 void ExpectViewsMatchDecode(const RTree& tree, storage::BufferPool* pool,
-                            std::size_t* pages_seen, std::size_t* chained) {
+                            std::size_t* pages_seen) {
   const NodeCodec codec(tree.config().dim, tree.config().box_leaves);
   const std::size_t dim = tree.config().dim;
   Vec lo(dim);
   Vec hi(dim);
-  for (storage::PageId id : AllPages(tree, pool, codec)) {
+  std::vector<storage::PageId> pages;
+  ASSERT_TRUE(tree.VisitNodes([&](const Node&, storage::PageId id) {
+                    pages.push_back(id);
+                  }).ok());
+  for (storage::PageId id : pages) {
     Result<storage::PageGuard> guard = pool->Fetch(id);
     ASSERT_TRUE(guard.ok());
     Result<NodeView> view = codec.View(guard->page());
-    Result<NodePart> part = codec.DecodePart(guard->page());
+    Result<Node> node = codec.Decode(guard->page());
     ASSERT_TRUE(view.ok()) << view.status();
-    ASSERT_TRUE(part.ok()) << part.status();
+    ASSERT_TRUE(node.ok()) << node.status();
     ++*pages_seen;
-    if (view->next() != storage::kInvalidPageId) ++*chained;
-    EXPECT_EQ(view->level(), part->level);
-    EXPECT_EQ(view->is_leaf(), part->level == 0);
-    EXPECT_EQ(view->next(), part->next);
-    ASSERT_EQ(view->size(), part->entries.size());
+    EXPECT_EQ(view->level(), node->level);
+    EXPECT_EQ(view->is_leaf(), node->is_leaf());
+    ASSERT_EQ(view->size(), node->entries.size());
     for (std::size_t k = 0; k < view->size(); ++k) {
-      const Entry& e = part->entries[k];
+      const Entry& e = node->entries[k];
       if (view->is_leaf()) {
         EXPECT_EQ(view->record(k), e.record);
       } else {
@@ -255,18 +233,16 @@ struct PointTree {
   storage::BufferPool pool;
   std::unique_ptr<RTree> tree;
 
-  PointTree(std::size_t points, bool supernodes, std::size_t pool_pages = 1024)
+  explicit PointTree(std::size_t points, std::size_t pool_pages = 1024)
       : pool(&store, pool_pages) {
     RTreeConfig config;
     config.dim = 6;
     config.max_entries = 8;
     config.leaf_max_entries = 16;
-    config.enable_supernodes = supernodes;
-    config.supernode_overlap_fraction = 0.05;  // aggressive: form supernodes
     auto created = RTree::Create(&pool, config);
     EXPECT_TRUE(created.ok()) << created.status();
     tree = std::move(created).value();
-    Rng rng(supernodes ? 7 : 3);
+    Rng rng(3);
     for (RecordId r = 0; r < points; ++r) {
       Vec p(config.dim);
       for (double& x : p) x = rng.Uniform(0, 1);
@@ -276,21 +252,11 @@ struct PointTree {
 };
 
 TEST(NodeViewTest, PointLeafTreeReadsTheSameBothWays) {
-  PointTree f(1500, /*supernodes=*/false);
+  PointTree f(1500);
   std::size_t pages = 0;
-  std::size_t chained = 0;
-  ExpectViewsMatchDecode(*f.tree, &f.pool, &pages, &chained);
+  ExpectViewsMatchDecode(*f.tree, &f.pool, &pages);
   EXPECT_GT(pages, 100u);
   ExpectQueriesMatchReference(*f.tree, 0.0, 1.0, 11);
-}
-
-TEST(NodeViewTest, SupernodeTreeReadsTheSameBothWays) {
-  PointTree f(3000, /*supernodes=*/true);
-  std::size_t pages = 0;
-  std::size_t chained = 0;
-  ExpectViewsMatchDecode(*f.tree, &f.pool, &pages, &chained);
-  ASSERT_GT(chained, 0u) << "fixture must form supernode chains";
-  ExpectQueriesMatchReference(*f.tree, 0.0, 1.0, 12);
 }
 
 TEST(NodeViewTest, SubtrailBoxLeafTreeReadsTheSameBothWays) {
@@ -309,8 +275,7 @@ TEST(NodeViewTest, SubtrailBoxLeafTreeReadsTheSameBothWays) {
   RTree& tree = (*engine)->tree();
   ASSERT_TRUE(tree.config().box_leaves);
   std::size_t pages = 0;
-  std::size_t chained = 0;
-  ExpectViewsMatchDecode(tree, tree.pool(), &pages, &chained);
+  ExpectViewsMatchDecode(tree, tree.pool(), &pages);
   EXPECT_GT(pages, 5u);
 
   // Query lines through the reduced space the boxes occupy.
@@ -329,11 +294,14 @@ TEST(NodeViewTest, SubtrailBoxLeafTreeReadsTheSameBothWays) {
 
 TEST(NodeViewTest, ViewRejectsWhatDecodeRejects) {
   const NodeCodec codec(3, /*box_leaves=*/true);
-  std::vector<Entry> entries;
-  entries.push_back(Entry::ForChild(4, geom::Mbr::FromCorners({0, 0, 0}, {1, 1, 1})));
-  entries.push_back(Entry::ForChild(5, geom::Mbr::FromCorners({2, 2, 2}, {3, 3, 3})));
+  Node internal;
+  internal.level = 1;
+  internal.entries.push_back(
+      Entry::ForChild(4, geom::Mbr::FromCorners({0, 0, 0}, {1, 1, 1})));
+  internal.entries.push_back(
+      Entry::ForChild(5, geom::Mbr::FromCorners({2, 2, 2}, {3, 3, 3})));
   storage::Page good;
-  ASSERT_TRUE(codec.EncodePart(1, entries, storage::kInvalidPageId, &good).ok());
+  ASSERT_TRUE(codec.Encode(internal, &good).ok());
   ASSERT_TRUE(codec.View(good).ok());
 
   // Second entry's hi[1] (header 14 B, internal entry 4 + 48 B).
@@ -343,15 +311,15 @@ TEST(NodeViewTest, ViewRejectsWhatDecodeRejects) {
     storage::Page page = good;
     std::memcpy(page.bytes.data() + hi1, &bad, sizeof bad);
     Result<NodeView> view = codec.View(page);
-    Result<NodePart> part = codec.DecodePart(page);
+    Result<Node> node = codec.Decode(page);
     ASSERT_FALSE(view.ok());
     EXPECT_EQ(view.status().code(), StatusCode::kCorruption);
-    EXPECT_EQ(view.status().ToString(), part.status().ToString());
+    EXPECT_EQ(view.status().ToString(), node.status().ToString());
   }
   storage::Page wrong_magic = good;
   wrong_magic.bytes[0] ^= 0xFF;
   EXPECT_EQ(codec.View(wrong_magic).status().ToString(),
-            codec.DecodePart(wrong_magic).status().ToString());
+            codec.Decode(wrong_magic).status().ToString());
   EXPECT_EQ(NodeCodec(4, true).View(good).status().code(), StatusCode::kCorruption);
   EXPECT_EQ(NodeCodec(3, false).View(good).status().code(), StatusCode::kCorruption);
 }
@@ -359,7 +327,7 @@ TEST(NodeViewTest, ViewRejectsWhatDecodeRejects) {
 // Four threads read one tree through one shared, evicting pool. Each must
 // see exactly what a lone thread sees. Run under TSan in CI.
 TEST(ReadPathConcurrencyTest, FourThreadsShareOnePool) {
-  PointTree f(4000, /*supernodes=*/false, /*pool_pages=*/64);
+  PointTree f(4000, /*pool_pages=*/64);
   Rng rng(21);
   const std::vector<Line> lines = QueryLines(rng, 6, 0.0, 1.0);
   std::vector<std::vector<LineMatch>> want_range;

@@ -49,7 +49,6 @@ TEST(StructuralStatsTest, EmptyTreeIsOneEmptyLeaf) {
   EXPECT_EQ(stats->height, 1u);
   EXPECT_EQ(stats->node_count, 1u);
   EXPECT_EQ(stats->entry_count, 0u);
-  EXPECT_EQ(stats->supernode_count, 0u);
   EXPECT_TRUE(stats->depth_uniform);
   ASSERT_EQ(stats->levels.size(), 1u);
   const LevelStats& leaves = stats->levels[0];
@@ -102,7 +101,6 @@ TEST(StructuralStatsTest, AgreesWithComputeStatsOnRandomTree) {
   EXPECT_EQ(deep->height, flat->height);
   EXPECT_EQ(deep->node_count, flat->node_count);
   EXPECT_EQ(deep->entry_count, flat->entry_count);
-  EXPECT_EQ(deep->supernode_count, flat->supernode_count);
   EXPECT_TRUE(deep->depth_uniform);
   ASSERT_EQ(deep->levels.size(), deep->height);
 

@@ -33,7 +33,6 @@ TEST(TreeStatsTest, EmptyTree) {
   EXPECT_EQ(stats->node_pages, 1u);
   EXPECT_EQ(stats->leaf_count, 1u);
   EXPECT_EQ(stats->entry_count, 0u);
-  EXPECT_EQ(stats->supernode_count, 0u);
   EXPECT_DOUBLE_EQ(stats->avg_leaf_fill, 0.0);
 }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tsss/common/exec_control.h"
 #include "tsss/common/rng.h"
 #include "tsss/core/engine.h"
 #include "tsss/obs/explain.h"
@@ -386,6 +387,23 @@ TEST(ShardedEngineTest, FanoutPoolCountsSubQueries) {
     EXPECT_GE(info.pool_hit_rate, 0.0);
     EXPECT_LE(info.pool_hit_rate, 1.0);
   }
+}
+
+TEST(ShardedEngineTest, CancelledCallerIsNotAdmitted) {
+  const auto corpus = MakeCorpus(4, 64);
+  auto sharded = MakeSharded(corpus, 4);
+  auto window = sharded->SeriesValues(0);
+  ASSERT_TRUE(window.ok());
+  ExecControl control;
+  control.RequestCancel();
+  {
+    ScopedExecControl scoped(&control);
+    auto result = sharded->RangeQuery(window->subspan(0, kWindow), 5.0);
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+        << result.status();
+  }
+  // The fan-out stopped before admission: no sub-query reached the queue.
+  EXPECT_EQ(sharded->FanoutStats().submitted, 0u);
 }
 
 }  // namespace

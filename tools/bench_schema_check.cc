@@ -234,7 +234,7 @@ bool CheckInspect(const JsonValue& root, std::string* error) {
   const JsonValue* tree = RequireObject(root, "tree", error);
   if (tree == nullptr) return false;
   if (!RequireNumbers(*tree, "tree",
-                      {"height", "nodes", "entries", "supernodes"}, error)) {
+                      {"height", "nodes", "entries"}, error)) {
     return false;
   }
   if (!IsBool(tree->Get("depth_uniform"))) {

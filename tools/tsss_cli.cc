@@ -844,8 +844,7 @@ tsss::Result<std::string> RenderInspect(const OpenIndex& index,
   if (!shape.ok()) return shape.status();
   tsss::index::RegisterStructuralGauges(*shape);
 
-  // Map each node's first page to its level. Supernode continuation pages
-  // are not first pages, so they (and any non-index pages sharing the pool)
+  // Map each node's page to its level. Any non-index pages sharing the pool
   // land in the "unclassified" bucket below.
   std::map<tsss::storage::PageId, std::size_t> page_level;
   Status visited = engine.tree().VisitNodes(
@@ -885,10 +884,9 @@ tsss::Result<std::string> RenderInspect(const OpenIndex& index,
     char line[256];
     std::snprintf(line, sizeof(line),
                   "INSPECT %s\ntree: height %zu, %zu nodes, %zu entries, "
-                  "%zu supernode(s), depth uniform: %s\n\n",
+                  "depth uniform: %s\n\n",
                   index.dir.c_str(), shape->height, shape->node_count,
-                  shape->entry_count, shape->supernode_count,
-                  shape->depth_uniform ? "yes" : "NO");
+                  shape->entry_count, shape->depth_uniform ? "yes" : "NO");
     rendered += line;
     std::snprintf(line, sizeof(line),
                   "%-6s %8s %8s %18s %6s %6s %12s %10s\n", "level", "nodes",
@@ -962,9 +960,8 @@ tsss::Result<std::string> RenderInspect(const OpenIndex& index,
     rendered = "{\"schema_version\":1,\"report\":\"inspect\",\"tree\":{";
     std::snprintf(buf, sizeof(buf),
                   "\"height\":%zu,\"nodes\":%zu,\"entries\":%zu,"
-                  "\"supernodes\":%zu,\"depth_uniform\":%s,\"levels\":[",
+                  "\"depth_uniform\":%s,\"levels\":[",
                   shape->height, shape->node_count, shape->entry_count,
-                  shape->supernode_count,
                   shape->depth_uniform ? "true" : "false");
     rendered += buf;
     for (std::size_t l = 0; l < shape->levels.size(); ++l) {
