@@ -21,7 +21,6 @@
 #include <optional>
 
 #include "bench_common.h"
-#include "tsss/obs/cost.h"
 #include "tsss/obs/flight_recorder.h"
 #include "tsss/obs/query_telemetry.h"
 #include "tsss/obs/rolling.h"
@@ -82,7 +81,7 @@ int main(int argc, char** argv) {
     std::uint64_t sink = 0;
     const bench::Timer timer;
     for (std::uint64_t i = 0; i < kClockOps; ++i) {
-      sink += obs::ThreadCpuNowUs();
+      sink += core::ThreadCpuNowUs();
     }
     clock_ns = 1e9 * timer.Seconds() / static_cast<double>(kClockOps);
     if (sink == 1) std::printf("#\n");  // keep the loop live
@@ -106,13 +105,13 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kRecordOps = 1'000'000;
   double record_ns = 0.0;
   {
-    obs::QueryCost cost;
-    cost.cpu_us = 3;
-    cost.pages_hit = 2;
-    cost.bytes_touched = 8192;
+    // Two index pages, both pool hits: 8192 bytes touched.
+    core::QueryStats stats;
+    stats.cpu_us = 3;
+    stats.index_page_reads = 2;
     const bench::Timer timer;
     for (std::uint64_t i = 0; i < kRecordOps; ++i) {
-      obs::RecordQueryCost("kind", "bench", cost);
+      core::RecordQueryCost("kind", "bench", stats);
     }
     record_ns = 1e9 * timer.Seconds() / static_cast<double>(kRecordOps);
   }

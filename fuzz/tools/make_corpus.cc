@@ -141,9 +141,7 @@ void MakePersistenceSeeds(const fs::path& dir) {
             "cold_cache 1\n"
             "tree_max 20\n"
             "tree_leaf_max 20\n"
-            "tree_min_fill 0.4\n"
             "tree_split 2\n"
-            "tree_reinsert 0.3\n"
             "windows 873\n"
             "root 3\n"
             "height 2\n"

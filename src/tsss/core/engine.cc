@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <ctime>
 #include <optional>
 #include <queue>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "tsss/common/check.h"
 #include "tsss/common/exec_control.h"
@@ -62,6 +64,48 @@ const QueryRegistryCounters& QueryCountersRegistry() {
   return counters;
 }
 
+/// The metrics one RecordQueryCost label pair rolls into.
+struct CostMetrics {
+  std::string key;
+  std::string value;
+  obs::LatencyHistogram* cpu = nullptr;
+  obs::Counter* pages_hit = nullptr;
+  obs::Counter* pages_miss = nullptr;
+  obs::Counter* data_pages = nullptr;
+  obs::Counter* bytes = nullptr;
+  obs::Counter* candidates = nullptr;
+};
+
+CostMetrics ResolveCostMetrics(const std::string& key,
+                               const std::string& value) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  CostMetrics m;
+  m.key = key;
+  m.value = value;
+  m.cpu = reg.GetHistogram(obs::WithLabel("tsss_query_cost_cpu", key, value),
+                           "Per-query thread-CPU time");
+  m.pages_hit = reg.GetCounter(
+      obs::WithLabel("tsss_query_cost_pages_hit_total", key, value),
+      "Index-page reads served by the buffer pool, attributed per query");
+  m.pages_miss = reg.GetCounter(
+      obs::WithLabel("tsss_query_cost_pages_miss_total", key, value),
+      "Index-page reads that missed the buffer pool, attributed per query");
+  m.data_pages = reg.GetCounter(
+      obs::WithLabel("tsss_query_cost_data_pages_total", key, value),
+      "Raw-data pages read for verification, attributed per query");
+  m.bytes = reg.GetCounter(
+      obs::WithLabel("tsss_query_cost_bytes_total", key, value),
+      "Bytes moved through the page interfaces, attributed per query");
+  m.candidates = reg.GetCounter(
+      obs::WithLabel("tsss_query_cost_candidates_total", key, value),
+      "Windows exactly verified, attributed per query");
+  return m;
+}
+
+/// Label pairs a thread keeps resolved; past this, pairs are resolved
+/// through the registry on every call.
+constexpr std::size_t kMaxCachedCostLabels = 16;
+
 /// Derives the paper's pruning disposition from a walk's PenetrationStats:
 /// every tested entry that was not visited was pruned; bounding-sphere outer
 /// rejects are the BS share, and the remainder is attributed to the
@@ -86,17 +130,38 @@ void FillPruneTelemetry(const geom::PenetrationStats& pen,
 
 }  // namespace
 
-obs::QueryCost DeriveQueryCost(const QueryStats& stats) {
-  obs::QueryCost cost;
-  cost.cpu_us = stats.cpu_us;
-  cost.pages_miss = stats.index_page_misses;
-  cost.pages_hit = stats.index_page_reads >= stats.index_page_misses
-                       ? stats.index_page_reads - stats.index_page_misses
-                       : 0;
-  cost.data_pages = stats.data_page_reads;
-  cost.bytes_touched = stats.total_page_reads() * storage::kPageSize;
-  cost.candidates_verified = stats.candidates;
-  return cost;
+std::uint64_t ThreadCpuNowUs() {
+  timespec ts{};
+  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0;
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec) / 1000ULL;
+}
+
+void RecordQueryCost(const std::string& label_key,
+                     const std::string& label_value, const QueryStats& stats) {
+  // Registry metrics are never destroyed, so resolved pointers stay valid
+  // for the process; each thread keeps the few label pairs it uses (query
+  // kinds, shard ids) and skips the registry's mutex and map lookups.
+  thread_local std::vector<CostMetrics> cache;
+  const CostMetrics* m = nullptr;
+  for (const CostMetrics& cached : cache) {
+    if (cached.key == label_key && cached.value == label_value) m = &cached;
+  }
+  CostMetrics uncached;
+  if (m == nullptr) {
+    uncached = ResolveCostMetrics(label_key, label_value);
+    m = &uncached;
+    if (cache.size() < kMaxCachedCostLabels) {
+      cache.push_back(std::move(uncached));
+      m = &cache.back();
+    }
+  }
+  m->cpu->RecordUs(stats.cpu_us);
+  m->pages_hit->Inc(stats.index_page_hits());
+  m->pages_miss->Inc(stats.index_page_misses);
+  m->data_pages->Inc(stats.data_page_reads);
+  m->bytes->Inc(stats.total_page_reads() * storage::kPageSize);
+  m->candidates->Inc(stats.candidates);
 }
 
 SearchEngine::QueryScope::QueryScope(const SearchEngine& engine, Kind kind,
@@ -111,7 +176,7 @@ SearchEngine::QueryScope::QueryScope(const SearchEngine& engine, Kind kind,
   if (stats != nullptr || obs::CurrentQueryTrace() != nullptr) {
     scoped_telemetry_.emplace(&telemetry_);
     start_ = std::chrono::steady_clock::now();
-    cpu_start_us_ = obs::ThreadCpuNowUs();
+    cpu_start_us_ = ThreadCpuNowUs();
   }
 }
 
@@ -141,7 +206,7 @@ void SearchEngine::QueryScope::Finish(double eps, std::uint64_t k,
   out.data_page_reads = counters_.data_page_reads;
   out.candidates = candidates;
   out.matches = matches;
-  const std::uint64_t cpu_now = obs::ThreadCpuNowUs();
+  const std::uint64_t cpu_now = ThreadCpuNowUs();
   out.cpu_us = cpu_now >= cpu_start_us_ ? cpu_now - cpu_start_us_ : 0;
   out.penetration = pen;
   out.telemetry = telemetry_;

@@ -77,9 +77,9 @@ struct EngineMeta {
 Result<EngineMeta> ParseEngineMeta(std::istream& in);
 
 /// Per-query observability: what a query cost. All counters are deltas over
-/// the single query. This is the one per-query record: every other surface
-/// (the obs::QueryCost metrics and flight records, explain reports, the shard
-/// roll-ups) is derived from it.
+/// the single query. This is the one per-query record, stored once: every
+/// cost surface (the tsss_query_cost_* roll-ups, explain reports and their
+/// flight records, the shard fan-out's summed stats) is rendered from it.
 struct QueryStats {
   std::uint64_t index_page_reads = 0;   ///< R-tree node pages fetched (logical)
   std::uint64_t index_page_misses = 0;  ///< of those, buffer-pool misses
@@ -97,16 +97,33 @@ struct QueryStats {
   /// `penetration`.
   obs::QueryTelemetry telemetry;
 
+  /// Index-page reads the buffer pool served without going to the store.
+  std::uint64_t index_page_hits() const {
+    return index_page_reads >= index_page_misses
+               ? index_page_reads - index_page_misses
+               : 0;
+  }
   std::uint64_t total_page_reads() const {
     return index_page_reads + data_page_reads;
   }
 };
 
-/// The obs-layer view of what a query spent, derived from its QueryStats:
-/// the hit/miss split of the index page reads, data pages, bytes touched at
-/// page granularity, and windows verified. Linear in the stats, so the cost
-/// of summed per-shard stats is the sum of the per-shard costs.
-obs::QueryCost DeriveQueryCost(const QueryStats& stats);
+/// This thread's consumed CPU time in microseconds
+/// (clock_gettime(CLOCK_THREAD_CPUTIME_ID)); 0 if the clock is unavailable.
+/// Two readings bracket a query; their difference is QueryStats::cpu_us.
+std::uint64_t ThreadCpuNowUs();
+
+/// Rolls one completed query's stats into the global registry under a label:
+///   RecordQueryCost("kind", "range", stats) -> tsss_query_cost_*{kind="range"}
+///   RecordQueryCost("shard", "3", stats)    -> tsss_query_cost_*{shard="3"}
+/// CPU time lands in a tsss_query_cost_cpu histogram (p50/p90/p99 over
+/// queries); page hits and misses, data pages, bytes touched (every counted
+/// page read times the page size) and candidates verified land in monotonic
+/// counters. Each thread resolves a label pair's metrics through the
+/// registry once and keeps the pointers (up to 16 pairs per thread), so a
+/// steady-state call takes no lock and does no map lookup.
+void RecordQueryCost(const std::string& label_key,
+                     const std::string& label_value, const QueryStats& stats);
 
 /// A monotonically tightening upper bound on the k-th best exact distance,
 /// shared by concurrent k-NN sub-queries over disjoint partitions of one

@@ -72,13 +72,12 @@ Result<obs::ExplainReport> SearchEngine::ExplainFromStats(
 
   r.index_page_reads = stats.index_page_reads;
   r.index_page_misses = stats.index_page_misses;
-  r.index_page_hits = stats.index_page_reads >= stats.index_page_misses
-                          ? stats.index_page_reads - stats.index_page_misses
-                          : 0;
+  r.index_page_hits = stats.index_page_hits();
   r.data_page_reads = stats.data_page_reads;
 
   r.seq_scan_pages = dataset_.store().TotalPages();
-  r.cost = DeriveQueryCost(stats);
+  r.cpu_us = stats.cpu_us;
+  r.bytes_touched = stats.total_page_reads() * storage::kPageSize;
   return r;
 }
 

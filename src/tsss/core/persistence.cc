@@ -55,14 +55,24 @@ Status MetaToEnumInt(double value, const char* key, int max_value, int* out) {
   return Status::OK();
 }
 
-Status MetaToFraction(double value, const char* key, double* out) {
-  if (!std::isfinite(value)) {
-    return Status::Corruption(std::string("engine metadata key '") + key +
-                              "' is not finite");
-  }
-  *out = value;
-  return Status::OK();
-}
+/// A knob older checkpoints recorded that is now gone or fixed: a meta still
+/// opens while the key holds the one value the reader supports.
+struct RemovedKnob {
+  const char* key;
+  double supported;
+  const char* refusal;  ///< why any other value is refused
+};
+
+constexpr RemovedKnob kRemovedKnobs[] = {
+    {"supernodes", 0.0,
+     "enables X-tree supernodes, which are no longer supported"},
+    {"tree_min_fill", index::RTreeConfig::kMinFillFraction,
+     "sets a min-fill fraction other than the fixed 40%, which is no longer "
+     "configurable"},
+    {"tree_reinsert", index::RTreeConfig::kReinsertFraction,
+     "sets a forced-reinsert fraction other than the fixed 30%, which is no "
+     "longer configurable"},
+};
 
 }  // namespace
 
@@ -78,22 +88,21 @@ Result<EngineMeta> ParseEngineMeta(std::istream& in) {
   while (in >> key >> value) kv[key] = value;
   for (const char* required :
        {"window", "stride", "subtrail", "reducer", "reduced_dim", "prune",
-        "pool_pages", "cold_cache", "tree_max", "tree_leaf_max",
-        "tree_min_fill", "tree_split", "tree_reinsert", "windows", "root",
-        "height", "size"}) {
+        "pool_pages", "cold_cache", "tree_max", "tree_leaf_max", "tree_split",
+        "windows", "root", "height", "size"}) {
     if (kv.find(required) == kv.end()) {
       return Status::Corruption(std::string("engine metadata missing key '") +
                                 required + "'");
     }
   }
-  // Older checkpoints also recorded the X-tree supernode settings. The
-  // feature is gone, so such a meta still opens while supernodes were off,
-  // and an index that may hold multi-page nodes is refused.
-  const auto supernodes = kv.find("supernodes");
-  if (supernodes != kv.end() && supernodes->second != 0) {
-    return Status::Corruption(
-        "engine metadata enables X-tree supernodes, which are no longer "
-        "supported");
+  // An index built with supernodes may hold multi-page nodes, and one built
+  // with other fill or reinsert fractions breaks the tree's fill invariant.
+  for (const RemovedKnob& knob : kRemovedKnobs) {
+    const auto it = kv.find(knob.key);
+    if (it != kv.end() && it->second != knob.supported) {
+      return Status::Corruption(std::string("engine metadata key '") +
+                                knob.key + "' " + knob.refusal);
+    }
   }
 
   EngineMeta meta;
@@ -124,17 +133,11 @@ Result<EngineMeta> ParseEngineMeta(std::istream& in) {
   s = MetaToSize(kv["tree_leaf_max"], "tree_leaf_max",
                  &config.tree.leaf_max_entries);
   if (!s.ok()) return s;
-  s = MetaToFraction(kv["tree_min_fill"], "tree_min_fill",
-                     &config.tree.min_fill_fraction);
-  if (!s.ok()) return s;
   s = MetaToEnumInt(kv["tree_split"], "tree_split",
                     static_cast<int>(index::SplitAlgorithm::kRStar),
                     &enum_value);
   if (!s.ok()) return s;
   config.tree.split = static_cast<index::SplitAlgorithm>(enum_value);
-  s = MetaToFraction(kv["tree_reinsert"], "tree_reinsert",
-                     &config.tree.reinsert_fraction);
-  if (!s.ok()) return s;
   s = MetaToSize(kv["windows"], "windows", &meta.indexed_windows);
   if (!s.ok()) return s;
   std::size_t root = 0;
@@ -178,9 +181,7 @@ Status SearchEngine::Checkpoint() {
   meta << "cold_cache " << (config_.cold_cache_per_query ? 1 : 0) << '\n';
   meta << "tree_max " << config_.tree.max_entries << '\n';
   meta << "tree_leaf_max " << config_.tree.leaf_max_entries << '\n';
-  meta << "tree_min_fill " << config_.tree.min_fill_fraction << '\n';
   meta << "tree_split " << static_cast<int>(config_.tree.split) << '\n';
-  meta << "tree_reinsert " << config_.tree.reinsert_fraction << '\n';
   meta << "windows " << indexed_windows_ << '\n';
   meta << "root " << tree_->root_page() << '\n';
   meta << "height " << tree_->height() << '\n';

@@ -97,9 +97,9 @@ Status RTree::BulkLoad(std::vector<Entry> points) {
     while (begin < count) {
       std::size_t chunk = std::min(capacity, count - begin);
       const std::size_t rest = count - begin - chunk;
-      if (rest > 0 && rest < config_.MinFillOf(capacity)) {
+      if (rest > 0 && rest < RTreeConfig::MinFillOf(capacity)) {
         // Rebalance so the final node meets min fill.
-        chunk = count - begin - config_.MinFillOf(capacity);
+        chunk = count - begin - RTreeConfig::MinFillOf(capacity);
       }
       Node node;
       node.level = level;

@@ -47,17 +47,6 @@ Result<std::size_t> ValidateConfig(const RTreeConfig& config) {
         " out of range for leaf page capacity " +
         std::to_string(codec.max_leaf_entries()));
   }
-  for (const std::size_t cap : {config.max_entries, leaf_max}) {
-    const std::size_t m = config.MinFillOf(cap);
-    if (2 * m > cap + 1) {
-      return Status::InvalidArgument(
-          "min_fill_fraction too large: 2*m must be <= capacity+1");
-    }
-    if (config.ReinsertOf(cap) > cap + 1 - m) {
-      return Status::InvalidArgument(
-          "reinsert_fraction too large: capacity+1-p must stay >= m");
-    }
-  }
   return leaf_max;
 }
 
@@ -245,7 +234,7 @@ Status RTree::PropagateUp(std::vector<PathStep> path,
 
     if (node->entries.size() > MaxFor(*node)) {
       const bool is_root = i == 0;
-      const std::size_t p = config_.ReinsertOf(MaxFor(*node));
+      const std::size_t p = RTreeConfig::ReinsertOf(MaxFor(*node));
       const bool can_reinsert = !is_root && p > 0 &&
                                 config_.split == SplitAlgorithm::kRStar &&
                                 node->level < reinserted_at_level.size() &&

@@ -20,9 +20,13 @@
 namespace tsss::index {
 
 /// Construction parameters of an RTree. Defaults reproduce the paper's
-/// experimental setting (Section 7): 4 KiB pages, one node per page, M = 20,
-/// m = 40% of M = 8, R* forced-reinsert p = 30% of M = 6.
+/// experimental setting (Section 7): 4 KiB pages, one node per page, M = 20.
+/// The minimum fill m = 40% and the R* forced-reinsert count p = 30% of a
+/// node's capacity are the paper's fixed values (m = 8, p = 6 at M = 20).
 struct RTreeConfig {
+  static constexpr double kMinFillFraction = 0.4;
+  static constexpr double kReinsertFraction = 0.3;
+
   std::size_t dim = 6;            ///< dimensionality of indexed points
   std::size_t max_entries = 20;   ///< M for internal nodes (capped by page)
   /// Leaf entries carry full boxes instead of points (sub-trail MBR mode,
@@ -33,22 +37,21 @@ struct RTreeConfig {
   /// the paper's setup where M = 20 governs *internal* nodes while leaf
   /// pages pack point entries densely.
   std::size_t leaf_max_entries = 0;
-  double min_fill_fraction = 0.4; ///< m = max(1, floor(fraction * capacity))
   SplitAlgorithm split = SplitAlgorithm::kRStar;
-  /// Fraction of the node capacity removed on forced reinsertion
-  /// (R* only; 0 disables).
-  double reinsert_fraction = 0.3;
 
   std::size_t min_entries() const { return MinFillOf(max_entries); }
   std::size_t reinsert_count() const { return ReinsertOf(max_entries); }
 
-  std::size_t MinFillOf(std::size_t capacity) const {
-    const auto m = static_cast<std::size_t>(min_fill_fraction *
+  /// m = max(1, floor(40% of capacity)).
+  static std::size_t MinFillOf(std::size_t capacity) {
+    const auto m = static_cast<std::size_t>(kMinFillFraction *
                                             static_cast<double>(capacity));
     return m < 1 ? 1 : m;
   }
-  std::size_t ReinsertOf(std::size_t capacity) const {
-    return static_cast<std::size_t>(reinsert_fraction *
+  /// Entries removed on forced reinsertion (R* only): floor(30% of
+  /// capacity).
+  static std::size_t ReinsertOf(std::size_t capacity) {
+    return static_cast<std::size_t>(kReinsertFraction *
                                     static_cast<double>(capacity));
   }
 };
@@ -288,7 +291,7 @@ class RTree {
     return node.is_leaf() ? leaf_max_ : config_.max_entries;
   }
   std::size_t MinFor(const Node& node) const {
-    return config_.MinFillOf(MaxFor(node));
+    return RTreeConfig::MinFillOf(MaxFor(node));
   }
 
   /// Descends from the root to the best node at `target_level` for `mbr`

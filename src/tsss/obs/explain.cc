@@ -104,9 +104,10 @@ ExplainReport MergeExplainReports(const std::vector<ExplainReport>& parts) {
 
     merged.seq_scan_pages += part.seq_scan_pages;
 
-    // Cost sums linearly too; cpu_us is the total CPU burned across all
-    // partitions, which can exceed elapsed_us (they ran concurrently).
-    merged.cost += part.cost;
+    // cpu_us is the total CPU burned across all partitions, which can
+    // exceed elapsed_us (they ran concurrently).
+    merged.cpu_us += part.cpu_us;
+    merged.bytes_touched += part.bytes_touched;
   }
   return merged;
 }
@@ -203,17 +204,17 @@ std::string RenderExplainText(const ExplainReport& r) {
   }
 
   out += "\ncost\n";
-  Row(&out, "thread CPU (us)", r.cost.cpu_us);
+  Row(&out, "thread CPU (us)", r.cpu_us);
   std::snprintf(buf, sizeof(buf),
                 "  %-26s %10llu  (hit %llu, miss %llu)\n", "index pages",
-                static_cast<unsigned long long>(r.cost.pages_hit +
-                                                r.cost.pages_miss),
-                static_cast<unsigned long long>(r.cost.pages_hit),
-                static_cast<unsigned long long>(r.cost.pages_miss));
+                static_cast<unsigned long long>(r.index_page_hits +
+                                                r.index_page_misses),
+                static_cast<unsigned long long>(r.index_page_hits),
+                static_cast<unsigned long long>(r.index_page_misses));
   out += buf;
-  Row(&out, "data pages", r.cost.data_pages);
-  Row(&out, "bytes touched", r.cost.bytes_touched);
-  Row(&out, "candidates verified", r.cost.candidates_verified);
+  Row(&out, "data pages", r.data_page_reads);
+  Row(&out, "bytes touched", r.bytes_touched);
+  Row(&out, "candidates verified", r.candidates);
 
   if (!r.phases.empty()) {
     out += "\nphases";
@@ -229,6 +230,18 @@ std::string RenderExplainText(const ExplainReport& r) {
     }
   }
   return out;
+}
+
+void AppendExplainCostJson(const ExplainReport& r, std::string* out) {
+  *out += "{";
+  bool first = true;
+  AppendU64(out, "cpu_us", r.cpu_us, &first);
+  AppendU64(out, "pages_hit", r.index_page_hits, &first);
+  AppendU64(out, "pages_miss", r.index_page_misses, &first);
+  AppendU64(out, "data_pages", r.data_page_reads, &first);
+  AppendU64(out, "bytes_touched", r.bytes_touched, &first);
+  AppendU64(out, "candidates_verified", r.candidates, &first);
+  *out += "}";
 }
 
 std::string RenderExplainJson(const ExplainReport& r) {
@@ -290,15 +303,9 @@ std::string RenderExplainJson(const ExplainReport& r) {
             &first);
   out += "},";
 
-  out += "\"cost\":{";
-  first = true;
-  AppendU64(&out, "cpu_us", r.cost.cpu_us, &first);
-  AppendU64(&out, "pages_hit", r.cost.pages_hit, &first);
-  AppendU64(&out, "pages_miss", r.cost.pages_miss, &first);
-  AppendU64(&out, "data_pages", r.cost.data_pages, &first);
-  AppendU64(&out, "bytes_touched", r.cost.bytes_touched, &first);
-  AppendU64(&out, "candidates_verified", r.cost.candidates_verified, &first);
-  out += "},";
+  out += "\"cost\":";
+  AppendExplainCostJson(r, &out);
+  out += ",";
 
   out += "\"phases\":[";
   for (std::size_t i = 0; i < r.phases.size(); ++i) {

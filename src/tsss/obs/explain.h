@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "tsss/obs/cost.h"
-
 namespace tsss::obs {
 
 class QueryTrace;
@@ -79,8 +77,11 @@ struct ExplainReport {
   /// Pages a full sequential scan of the raw data would read.
   std::uint64_t seq_scan_pages = 0;
 
-  // --- cost attribution (what the query spent; see obs/cost.h) ---
-  QueryCost cost;
+  // --- cost attribution: the two figures not already rows above ---
+  /// CPU time the query burned on its own thread (CLOCK_THREAD_CPUTIME_ID).
+  std::uint64_t cpu_us = 0;
+  /// Every counted page read (index + data) times the fixed page size.
+  std::uint64_t bytes_touched = 0;
 
   // --- phases (from the query trace; may be empty) ---
   std::vector<ExplainPhaseRow> phases;
@@ -107,6 +108,13 @@ void FillExplainPhases(const QueryTrace& trace, ExplainReport* report);
 /// Human-readable plan report (fixed-width tables; deterministic for golden
 /// tests given a deterministic report).
 std::string RenderExplainText(const ExplainReport& report);
+
+/// Appends the report's cost object,
+///   {"cpu_us":..,"pages_hit":..,"pages_miss":..,"data_pages":..,
+///    "bytes_touched":..,"candidates_verified":..}
+/// rendered from its I/O and funnel rows plus cpu_us and bytes_touched.
+/// RenderExplainJson embeds it as "cost", and so does each flight record.
+void AppendExplainCostJson(const ExplainReport& report, std::string* out);
 
 /// Machine-readable report:
 ///   {"schema_version":1,"report":"explain","query":{...},"totals":{...},

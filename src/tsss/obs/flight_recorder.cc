@@ -16,16 +16,6 @@ void AppendDocument(std::string* out, const std::string& doc) {
   out->append(doc, 0, end);
 }
 
-void AppendCost(std::string* out, const QueryCost& cost) {
-  *out += "{\"cpu_us\":" + std::to_string(cost.cpu_us);
-  *out += ",\"pages_hit\":" + std::to_string(cost.pages_hit);
-  *out += ",\"pages_miss\":" + std::to_string(cost.pages_miss);
-  *out += ",\"data_pages\":" + std::to_string(cost.data_pages);
-  *out += ",\"bytes_touched\":" + std::to_string(cost.bytes_touched);
-  *out += ",\"candidates_verified\":" +
-          std::to_string(cost.candidates_verified) + "}";
-}
-
 }  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
@@ -108,7 +98,7 @@ std::string FlightRecorder::DumpJson() const {
       out += JsonEscape(r.outcome);
       out += "\",\"latency_us\":" + std::to_string(r.latency_us);
       out += ",\"cost\":";
-      AppendCost(&out, r.cost);
+      AppendExplainCostJson(r.explain, &out);
       out += ",\"explain\":";
       if (r.has_explain) {
         AppendDocument(&out, RenderExplainJson(r.explain));

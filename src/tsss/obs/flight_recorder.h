@@ -11,24 +11,23 @@
 
 #include "tsss/common/mutex.h"
 #include "tsss/common/thread_annotations.h"
-#include "tsss/obs/cost.h"
 #include "tsss/obs/explain.h"
 
 namespace tsss::obs {
 
 /// One captured slow (or failed) query: everything needed to reconstruct what
-/// it did after the fact — outcome, latency, cost attribution, the full
-/// explain report (prune waterfall, funnel, I/O) and the span trace as Chrome
-/// trace JSON. Assembled by the layer that saw the query finish
+/// it did after the fact — outcome, latency, the full explain report (prune
+/// waterfall, funnel, I/O, cost) and the span trace as Chrome trace JSON.
+/// Assembled by the layer that saw the query finish
 /// (service::QueryService::FinishTask); obs/ only stores and renders it.
 struct FlightRecord {
   std::uint64_t id = 0;        ///< capture sequence number (1-based)
   std::string kind;            ///< "range" | "knn" | "long_range"
   std::string outcome;         ///< "served" | "timed_out" | "cancelled" | ...
   std::uint64_t latency_us = 0;
-  QueryCost cost;
-  /// Present when the query ran far enough to collect telemetry (a deadline
-  /// can expire while the request is still queued).
+  /// Present when the explain report could be assembled from the query's
+  /// stats. The dump renders the record's cost from `explain` either way, so
+  /// a record without one reports a zero cost.
   bool has_explain = false;
   ExplainReport explain;
   /// QueryTrace::ToChromeJson() output; empty when no trace was installed.

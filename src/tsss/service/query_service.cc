@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "tsss/common/exec_control.h"
-#include "tsss/obs/cost.h"
 #include "tsss/obs/event_log.h"
 #include "tsss/obs/explain.h"
 #include "tsss/obs/flight_recorder.h"
@@ -316,13 +315,12 @@ void QueryService::FinishTask(Task* task, QueryResponse response,
        {"matches", response.matches.size()}});
 
   const char* kind_name = KindName(task->request.kind);
-  const obs::QueryCost cost = core::DeriveQueryCost(response.stats);
   if (response.status.ok()) {
     // Cost attribution: the engine filled stats for every query that ran to
-    // completion; fold its cost into the per-kind labelled metrics. Error
-    // paths unwind before the engine fills stats, so recording them would
-    // only pollute the histograms with zeros.
-    obs::RecordQueryCost("kind", kind_name, cost);
+    // completion; roll them into the per-kind labelled metrics. Error paths
+    // unwind before the engine fills stats, so recording them would only
+    // pollute the histograms with zeros.
+    core::RecordQueryCost("kind", kind_name, response.stats);
   }
 
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
@@ -333,7 +331,6 @@ void QueryService::FinishTask(Task* task, QueryResponse response,
     record.kind = kind_name;
     record.outcome = outcome;
     record.latency_us = latency_us;
-    record.cost = cost;
     // Derive the explain report from this task's own stats — never from the
     // engine-wide last-query slot, which a concurrent worker may have
     // already overwritten.

@@ -122,10 +122,11 @@ struct ServiceMetrics {
 /// obs::LatencyHistogram (no cross-worker cache-line sharing on the hot
 /// path); Stats() merges them on demand. Request outcomes and latency are
 /// also reported to the process-wide obs::MetricsRegistry under
-/// tsss_service_*. Completed queries feed per-kind cost attribution
-/// (obs::RecordQueryCost), and when obs::FlightRecorder::Global() is armed
-/// each request runs under a query trace so slow or failed completions are
-/// captured with their trace, explain report, and cost.
+/// tsss_service_*. Each successful completion rolls its QueryStats into
+/// per-kind cost attribution (core::RecordQueryCost), and when
+/// obs::FlightRecorder::Global() is armed each request runs under a query
+/// trace so slow or failed completions are captured with their trace and an
+/// explain report built from the same QueryStats, cost section included.
 ///
 /// Shutdown() (also run by the destructor) stops admission, drains every
 /// queued request, and joins the workers; futures obtained before shutdown

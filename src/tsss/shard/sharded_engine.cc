@@ -9,7 +9,6 @@
 
 #include "tsss/common/check.h"
 #include "tsss/common/exec_control.h"
-#include "tsss/obs/cost.h"
 #include "tsss/seq/window.h"
 
 namespace tsss::shard {
@@ -274,21 +273,21 @@ Result<std::vector<std::vector<core::Match>>> ShardedEngine::ScatterGather(
   }
 
   // Every leg is awaited (a k-NN request points at the caller's shared
-  // bound) and its spend lands in the shard-labelled cost metrics, whether
-  // or not the overall query succeeds: the pages were read and the CPU was
-  // burned either way.
+  // bound). Each leg that completed OK rolls its QueryStats into the
+  // shard-labelled cost metrics, whether or not the overall query succeeds.
+  // A failed leg is left out: the engine writes no stats for a query that
+  // fails, so it would only add an empty sample.
   Status first_error;
   core::QueryStats total;
   std::vector<std::vector<core::Match>> lists;
   lists.reserve(futures->size());
   for (std::size_t i = 0; i < futures->size(); ++i) {
     service::QueryResponse response = (*futures)[i].get();
-    obs::RecordQueryCost("shard", std::to_string(i),
-                         core::DeriveQueryCost(response.stats));
     if (!response.status.ok()) {
       if (first_error.ok()) first_error = response.status;
       continue;
     }
+    core::RecordQueryCost("shard", std::to_string(i), response.stats);
     const std::vector<storage::SeriesId>& locals = local_to_global_[i];
     for (core::Match& m : response.matches) {
       TSSS_DCHECK(m.series < locals.size());

@@ -166,8 +166,9 @@ class ShardedEngine {
 
   /// The scatter-gather every fan-out query shares: sends `request` to
   /// every shard (retrying admission while concurrent fan-outs momentarily
-  /// fill the queue), records each leg's cost under its shard label, and
-  /// returns the per-shard answers remapped to global ids, in shard order.
+  /// fill the queue), rolls each OK leg's stats into the cost metrics under
+  /// its shard label, and returns the per-shard answers remapped to global
+  /// ids, in shard order.
   /// On success `*stats` (when non-null) is the sum over shards; a failed
   /// leg's status is returned and no stats are written.
   Result<std::vector<std::vector<core::Match>>> ScatterGather(

@@ -66,16 +66,6 @@ TEST(EngineConfigTest, InvalidConfigsRejected) {
     c.tree.max_entries = 500;  // beyond page capacity at dim 6
     cases.push_back({"tree fanout beyond page", c});
   }
-  {
-    EngineConfig c;
-    c.tree.min_fill_fraction = 0.95;
-    cases.push_back({"min fill too large", c});
-  }
-  {
-    EngineConfig c;
-    c.tree.reinsert_fraction = 0.95;
-    cases.push_back({"reinsert too large", c});
-  }
 
   for (const Case& test_case : cases) {
     auto engine = SearchEngine::Create(test_case.config);

@@ -27,9 +27,7 @@ std::string ValidMeta() {
       "cold_cache 1\n"
       "tree_max 20\n"
       "tree_leaf_max 20\n"
-      "tree_min_fill 0.4\n"
       "tree_split 2\n"
-      "tree_reinsert 0.3\n"
       "windows 873\n"
       "root 3\n"
       "height 2\n"
@@ -60,9 +58,14 @@ TEST(EngineMetaTest, ValidMetaParses) {
 }
 
 /// The same metadata as older checkpoints wrote it, with the X-tree
-/// supernode settings (supernodes off).
+/// supernode settings (supernodes off) and the paper's fill and reinsert
+/// fractions.
 std::string LegacyMeta() {
-  return Replace(ValidMeta(), "windows 873\n",
+  std::string text = Replace(ValidMeta(), "tree_split 2\n",
+                             "tree_min_fill 0.4\n"
+                             "tree_split 2\n"
+                             "tree_reinsert 0.3\n");
+  return Replace(text, "windows 873\n",
                  "supernodes 0\n"
                  "supernode_overlap 0.8\n"
                  "supernode_multiple 4\n"
@@ -132,8 +135,26 @@ TEST(EngineMetaTest, RootBeyondPageIdSpaceIsCorruption) {
 
 TEST(EngineMetaTest, InfiniteFractionIsCorruption) {
   auto meta =
-      Parse(Replace(ValidMeta(), "tree_min_fill 0.4", "tree_min_fill inf"));
+      Parse(Replace(LegacyMeta(), "tree_min_fill 0.4", "tree_min_fill inf"));
   EXPECT_EQ(meta.status().code(), StatusCode::kCorruption);
+}
+
+TEST(EngineMetaTest, OtherMinFillIsCorruption) {
+  // The tree's fill invariant is m = 40% of capacity; an index built with
+  // another fraction may hold nodes below it.
+  auto meta =
+      Parse(Replace(LegacyMeta(), "tree_min_fill 0.4", "tree_min_fill 0.5"));
+  EXPECT_EQ(meta.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(meta.status().message().find("tree_min_fill"), std::string::npos)
+      << meta.status().message();
+}
+
+TEST(EngineMetaTest, OtherReinsertIsCorruption) {
+  auto meta =
+      Parse(Replace(LegacyMeta(), "tree_reinsert 0.3", "tree_reinsert 0"));
+  EXPECT_EQ(meta.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(meta.status().message().find("tree_reinsert"), std::string::npos)
+      << meta.status().message();
 }
 
 }  // namespace

@@ -29,7 +29,6 @@ RTreeConfig SmallConfig(SplitAlgorithm split = SplitAlgorithm::kRStar) {
   RTreeConfig config;
   config.dim = 2;
   config.max_entries = 8;
-  config.min_fill_fraction = 0.4;
   config.split = split;
   return config;
 }
@@ -52,12 +51,6 @@ TEST(RTreeCreateTest, ValidatesConfig) {
   config.max_entries = 10000;  // beyond page capacity
   EXPECT_FALSE(RTree::Create(&pool, config).ok());
   config.max_entries = 20;
-  config.min_fill_fraction = 0.9;  // 2m > M+1
-  EXPECT_FALSE(RTree::Create(&pool, config).ok());
-  config.min_fill_fraction = 0.4;
-  config.reinsert_fraction = 0.9;  // M+1-p < m
-  EXPECT_FALSE(RTree::Create(&pool, config).ok());
-  config.reinsert_fraction = 0.3;
   EXPECT_TRUE(RTree::Create(&pool, config).ok());
 }
 

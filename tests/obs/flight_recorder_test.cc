@@ -27,7 +27,7 @@ FlightRecord MakeRecord(const std::string& kind) {
   r.kind = kind;
   r.outcome = "served";
   r.latency_us = 1234;
-  r.cost.cpu_us = 10;
+  r.explain.cpu_us = 10;
   return r;
 }
 
@@ -243,16 +243,16 @@ TEST(FlightRecorderServiceTest, CapturedExplainTotalsMatchQueryStats) {
   EXPECT_EQ(record.explain.mbr_distance_evals, t.mbr_distance_evals);
   EXPECT_TRUE(explain_accounted(record.explain));
 
-  // The cost is the one derived from the query's own stats, and the trace
+  // The cost figures come from the query's own stats, and the trace
   // produced explain phases.
-  const QueryCost derived = core::DeriveQueryCost(response.stats);
-  EXPECT_EQ(record.cost.cpu_us, derived.cpu_us);
-  EXPECT_EQ(record.cost.pages_hit, derived.pages_hit);
-  EXPECT_EQ(record.cost.pages_miss, derived.pages_miss);
-  EXPECT_EQ(record.cost.data_pages, derived.data_pages);
-  EXPECT_EQ(record.cost.bytes_touched, derived.bytes_touched);
-  EXPECT_EQ(record.cost.candidates_verified, derived.candidates_verified);
-  EXPECT_EQ(record.explain.cost.cpu_us, derived.cpu_us);
+  const core::QueryStats& stats = response.stats;
+  EXPECT_EQ(record.explain.cpu_us, stats.cpu_us);
+  EXPECT_EQ(record.explain.index_page_hits, stats.index_page_hits());
+  EXPECT_EQ(record.explain.index_page_misses, stats.index_page_misses);
+  EXPECT_EQ(record.explain.data_page_reads, stats.data_page_reads);
+  EXPECT_EQ(record.explain.bytes_touched,
+            stats.total_page_reads() * storage::kPageSize);
+  EXPECT_EQ(record.explain.candidates, stats.candidates);
   EXPECT_FALSE(record.explain.phases.empty());
   EXPECT_EQ(record.latency_us,
             static_cast<std::uint64_t>(response.latency.count()));

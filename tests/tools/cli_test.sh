@@ -66,6 +66,16 @@ for kind in single sharded; do
   "$cli" explain --index "$idx" --series 0 --offset 5 --eps 0.5 \
     --format json --out "$work/explain-$kind.json" >/dev/null
   "$check" --schema explain "$work/explain-$kind.json"
+  # The cost section must agree with the io rows it repeats: a changed
+  # pages_hit is rejected.
+  sed -E 's/"pages_hit":([0-9]+)/"pages_hit":\19/' "$work/explain-$kind.json" \
+    >"$work/explain-$kind-bad.json"
+  if cmp -s "$work/explain-$kind.json" "$work/explain-$kind-bad.json"; then
+    fail "$kind: explain JSON has no cost.pages_hit to change"
+  fi
+  if "$check" --schema explain "$work/explain-$kind-bad.json" 2>/dev/null; then
+    fail "$kind: schema check accepted a cost.pages_hit != io.index_page_hits"
+  fi
 
   inspect_schema=inspect
   [[ $kind == sharded ]] && inspect_schema=inspect_sharded

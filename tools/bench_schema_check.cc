@@ -35,6 +35,10 @@
 
 namespace {
 
+/// Bytes per page (storage::kPageSize): an explain report's bytes_touched is
+/// its page reads times this.
+constexpr int kPageBytes = 4096;
+
 using jsonmini::JsonValue;
 
 bool IsNumber(const JsonValue* v) {
@@ -211,6 +215,27 @@ bool CheckExplain(const JsonValue& root, std::string* error) {
                       {"cpu_us", "pages_hit", "pages_miss", "data_pages",
                        "bytes_touched", "candidates_verified"},
                       error)) {
+    return false;
+  }
+  // The cost section is rendered from the same per-query record as the io,
+  // totals and baseline rows, so each cost figure must equal its twin there.
+  auto matches = [&](const char* cost_key, const JsonValue& section,
+                     const char* section_name, const char* key,
+                     double scale) {
+    if (cost->Get(cost_key)->number == scale * section.Get(key)->number) {
+      return true;
+    }
+    *error = std::string("cost.") + cost_key + " does not equal " +
+             (scale == 1.0 ? "" : std::to_string(kPageBytes) + " x ") +
+             section_name + "." + key;
+    return false;
+  };
+  if (!matches("pages_hit", *io, "io", "index_page_hits", 1.0) ||
+      !matches("pages_miss", *io, "io", "index_page_misses", 1.0) ||
+      !matches("data_pages", *io, "io", "data_page_reads", 1.0) ||
+      !matches("candidates_verified", *totals, "totals", "candidates", 1.0) ||
+      !matches("bytes_touched", *baseline, "baseline", "query_pages",
+               kPageBytes)) {
     return false;
   }
 
